@@ -13,6 +13,13 @@ Note: the only explicit degree-7 form of g we use is the antiderivative
 itself; the constant of integration is -2*c*a^4 (c the constant term of
 lam, a = sqrt(s/2)), which kills the lam^0 term of every g_j at infinity.
 
+At infinity every sheet shares one phase polynomial: with tau = w^m lam^(1/3)
+(w = exp(2 i pi/3), m fixed by the sheet and half-plane), theta = Theta(tau)
+= (3/7) tau^7 + eta tau^5 + mu tau^2 + nu tau and the sheet root is
+U(tau) = tau (1 + sum_k e_k tau^-k).  `laurent_at_infinity` expands
+g(U(tau)) - Theta(tau) exactly; `check_g_asymptotics` fits the matching
+claim g_j - theta_j = O(lam^(-1/3)) from that expansion.
+
 Sheets are cut along (-inf, beta] (1|2 gluing) and [alpha, inf) (2|3
 gluing), alpha = lam(-a), beta = lam(a).  Side limits on the cuts are exact
 (conjugate-pair assignment), not epsilon offsets.
@@ -251,8 +258,159 @@ def branch_coeffs(curve, case=None):
 
 
 # ---------------------------------------------------------------------------
-# high-precision evaluation (mpmath): used by asymptotic-fit diagnostics where
-# double precision hits the cancellation floor of g_j - theta_j.
+# Laurent expansion at infinity: the exact form of the phase matching
+# ---------------------------------------------------------------------------
+
+EPS = float(np.finfo(float).eps)
+
+#: rounding allowance in units of eps times the magnitude sum of the terms
+#: a value is built from (measured at most 5 on d_grid20 and on 60 random
+#: interior points); a real mismatch, a wrong sheet or constant, is O(1)
+ROUNDING_ULPS = 64
+
+#: most Laurent terms the remainder bound may ask for (q ~ 0.57)
+LAURENT_MAX_TERMS = 64
+
+
+class AsymptoticsError(ValueError):
+    """The Laurent check of g - theta at infinity failed or could not run."""
+
+
+@dataclass(frozen=True)
+class LaurentExpansion:
+    """g(U(tau)) - Theta(tau) at infinity, tau = w^m lam^(1/3).
+
+    `root[k]` is e_k in U(tau) = tau sum_k e_k tau^-k (e_0 = 1); `head[i]`
+    is the coefficient of tau^(7-i), i = 0..7, and `head_bound[i]` its
+    rounding allowance; `tail[m-1]` is the coefficient of tau^-m.
+    """
+    root: np.ndarray
+    head: np.ndarray
+    head_bound: np.ndarray
+    tail: np.ndarray
+
+
+def _root_series(a2, c, degree):
+    """e_0..e_degree of U/tau for U^3 - 3 a2 U + c = tau^3, U ~ tau.
+
+    With x = 1/tau and U = tau (1 + w(x)) the cubic reads
+    w = a2 x^2 (1 + w) - c x^3 / 3 - w^2 - w^3 / 3.  Order n of the right
+    side involves w only up to order n - 2, so each sweep of this fixed
+    point fixes two more orders and degree // 2 + 1 sweeps are exact.
+    """
+    w = np.zeros(degree + 1)
+    for _ in range(degree // 2 + 1):
+        w2 = np.convolve(w, w)[:degree + 1]
+        nxt = -w2 - np.convolve(w2, w)[:degree + 1] / 3.0
+        nxt[2:] += a2 * w[:-2]
+        nxt[2] += a2
+        nxt[3] -= c / 3.0
+        w = nxt
+    w[0] = 1.0
+    return w
+
+
+def _compose(g, root, n_terms):
+    """Coefficients of tau^7 .. tau^-n_terms of sum_k g[k] U(tau)^k."""
+    degree = len(root) - 1
+    out = np.zeros(8 + n_terms)
+    power = np.zeros(degree + 1)
+    power[0] = 1.0
+    for k, gk in enumerate(g):
+        out[7 - k:] += gk * power[:n_terms + 1 + k]
+        power = np.convolve(power, root)[:degree + 1]
+    return out
+
+
+def laurent_at_infinity(curve, n_terms):
+    """Laurent expansion of g(U(tau)) - Theta(tau) through tau^-n_terms.
+
+    Every coefficient is exact up to rounding: the truncated root series
+    carries all orders that reach tau^-n_terms.  The head (tau^7 .. tau^0)
+    is the normalization of g and vanishes; the tail starts with
+    tau^-1: -h1_0/2 and tau^-2: -h2_0/4 (`tau_expansion.leading_hamiltonians`).
+    """
+    p = curve.params
+    root = _root_series(curve.a**2, curve.c, n_terms + 7)
+    theta = np.zeros(8 + n_terms)
+    theta[[0, 2, 5, 6]] = (3.0 / 7.0, p.eta, p.mu, p.nu)
+    series = _compose(curve.g_coeffs, root, n_terms) - theta
+    magnitude = _compose(np.abs(curve.g_coeffs), np.abs(root), n_terms) \
+        + np.abs(theta)
+    return LaurentExpansion(root=root, head=series[:8],
+                            head_bound=ROUNDING_ULPS * EPS * magnitude[:8],
+                            tail=series[8:])
+
+
+def _laurent_terms(curve, tau_min):
+    """Tail terms needed at |tau| >= tau_min, from the remainder bound.
+
+    The expansion converges outside the image of the branch points,
+    |tau| > R = max(|alpha|, |beta|)^(1/3), so its coefficients are at most
+    C R^m for some C and, with q = R / tau_min, the terms after the N-th add
+    up to at most C q^(N+1) / (1 - q).  N is the least count that puts this
+    below eps C.
+    """
+    q = max(abs(curve.alpha), abs(curve.beta)) ** (1.0 / 3.0) / tau_min
+    if q == 0.0:
+        return 1
+    n = math.ceil(math.log(EPS * (1.0 - q)) / math.log(q)) - 1 \
+        if q < 1.0 else math.inf
+    if n > LAURENT_MAX_TERMS:
+        raise AsymptoticsError(
+            f"remainder bound not met: q = {q:.3g} needs {n} > "
+            f"{LAURENT_MAX_TERMS} Laurent terms")
+    return max(n, 1)
+
+
+def check_g_asymptotics(curve, radii=None, arg_upper=0.9, arg_lower=-0.9):
+    """Log-log decay fit of |g_j - theta_perm(j)| on each sheet/half-plane.
+
+    Returns a dict keyed by (sheet, 'upper'|'lower') with entries
+    (slope, max_residual); the matching claim is slope = -1/3.
+
+    The residuals come from the tail (tau^-1, tau^-2, ...) of
+    `laurent_at_infinity`, with as many terms as `_laurent_terms` asks for
+    at the smallest radius.  The head is not evaluated: at |tau| = 100 its
+    rounding-level coefficients times tau^7 would swamp the residual.
+    Instead it must vanish within its rounding bound.  The tail never looks
+    at the kernel's roots, so those must match U(tau) on each sheet at every
+    sample.  Raises AsymptoticsError when the term count exceeds
+    LAURENT_MAX_TERMS or either check fails.
+    """
+    if radii is None:
+        radii = np.logspace(3, 6, 24)
+    radii = np.asarray(radii, dtype=float)
+    ser = laurent_at_infinity(curve, _laurent_terms(curve,
+                                                    radii.min() ** (1.0 / 3.0)))
+    if np.any(np.abs(ser.head) > ser.head_bound):
+        raise AsymptoticsError(
+            f"tau^7..tau^0 coefficients {ser.head} exceed their rounding "
+            f"bound {ser.head_bound}")
+    halves = (("upper", arg_upper, (1, 3, 2)), ("lower", arg_lower, (1, 2, 3)))
+    lam = np.array([radii * cmath.exp(1j * arg) for _, arg, _ in halves])
+    roots = uniformize_all(curve, lam)
+    report = {}
+    for h, (half, _, perm) in enumerate(halves):
+        t = lam[h] ** (1.0 / 3.0)
+        for sheet in (1, 2, 3):
+            x = 1.0 / (OMEGA ** (perm[sheet - 1] - 1) * t)
+            u = npoly.polyval(x, ser.root) / x
+            if np.any(np.abs(roots[sheet - 1, h] - u)
+                      > ROUNDING_ULPS * EPS * np.abs(u)):
+                raise AsymptoticsError(
+                    f"sheet {sheet} root is not U(tau) in the {half} "
+                    "half-plane")
+            diffs = np.abs(x * npoly.polyval(x, ser.tail))
+            slope = np.polyfit(np.log(radii), np.log(diffs), 1)[0]
+            report[(sheet, half)] = (float(slope), float(diffs.max()))
+    return report
+
+
+# ---------------------------------------------------------------------------
+# high-precision evaluation (mpmath): used by the branch-point fit and the
+# modified-curve matching report, where double precision hits the
+# cancellation floor of g_i - g_j and g_j - theta_j.
 # ---------------------------------------------------------------------------
 
 def _mp_context(dps):
@@ -320,31 +478,6 @@ def theta_phase_mp(lam, j, p, dps=50):
     wi = mp.exp(2j * mp.pi / 3) ** (1 - j)
     return ((mp.mpf(3) / 7) * w * t**7 + wi * p.eta * t**5 + wi * p.mu * t**2
             + w * p.nu * t)
-
-
-def check_g_asymptotics(curve, radii=None, arg_upper=0.9, arg_lower=-0.9,
-                        dps=50):
-    """Log-log decay fit of |g_j - theta_perm(j)| on each sheet/half-plane.
-
-    Returns a dict keyed by (sheet, 'upper'|'lower') with entries
-    (slope, max_residual); the matching claim is slope = -1/3.
-    """
-    if radii is None:
-        radii = np.logspace(3, 6, 24)
-    report = {}
-    for half, argv in (("upper", arg_upper), ("lower", arg_lower)):
-        perm = {1: 1, 2: 3, 3: 2} if half == "upper" else {1: 1, 2: 2, 3: 3}
-        for sheet in (1, 2, 3):
-            diffs = []
-            for r in radii:
-                lam = r * cmath.exp(1j * argv)
-                gj = g_sheet_mp(curve, lam, sheet, dps=dps)
-                th = theta_phase_mp(lam, perm[sheet], curve.params, dps=dps)
-                diffs.append(float(abs(gj - th)))
-            diffs = np.array(diffs)
-            slope = np.polyfit(np.log(radii), np.log(diffs), 1)[0]
-            report[(sheet, half)] = (float(slope), float(diffs.max()))
-    return report
 
 
 def _g_difference_mp(curve, lam, pair, dps):

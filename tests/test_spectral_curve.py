@@ -7,13 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tau34 import spectral_curve as sc
+from tau34.cli import certify_point
 from tau34.param_domain import ABCoords, Params, map_abc
-from tau34.spectral_curve import (BranchCutError, OnBranchPoint,
-                                  branch_coeffs, build_curve,
+from tau34.spectral_curve import (AsymptoticsError, BranchCutError,
+                                  OnBranchPoint, branch_coeffs, build_curve,
                                   check_g_asymptotics, fit_branch_exponent,
-                                  g_sheet, g_sheets_all, lam_of_u,
-                                  theta_phase, theta_hat, uniformize,
-                                  uniformize_all)
+                                  g_sheet, g_sheet_mp, g_sheets_all,
+                                  lam_of_u, laurent_at_infinity,
+                                  theta_phase, theta_phase_mp, theta_hat,
+                                  uniformize, uniformize_all)
+from tau34.tau_expansion import leading_hamiltonians
 
 pv = np.polynomial.polynomial.polyval
 
@@ -198,6 +202,29 @@ class TestTheta:
                                   for j in (1, 2, 3))
 
 
+def sampled_g_asymptotics(curve, dps=50):
+    """Reference fit: |g_j - theta_perm(j)| sampled in mpmath at 50 digits.
+
+    Same radii, rays, sheet permutation and fit as `check_g_asymptotics`,
+    which reads the residuals off the Laurent tail instead.
+    """
+    radii = np.logspace(3, 6, 24)
+    report = {}
+    for half, arg in (("upper", 0.9), ("lower", -0.9)):
+        perm = {1: 1, 2: 3, 3: 2} if half == "upper" else {1: 1, 2: 2, 3: 3}
+        for sheet in (1, 2, 3):
+            diffs = []
+            for r in radii:
+                lam = r * cmath.exp(1j * arg)
+                gj = g_sheet_mp(curve, lam, sheet, dps=dps)
+                th = theta_phase_mp(lam, perm[sheet], curve.params, dps=dps)
+                diffs.append(float(abs(gj - th)))
+            diffs = np.array(diffs)
+            slope = np.polyfit(np.log(radii), np.log(diffs), 1)[0]
+            report[(sheet, half)] = (float(slope), float(diffs.max()))
+    return report
+
+
 class TestAsymptotics:
     def test_slopes_reference(self, curve_ref):
         rep = check_g_asymptotics(curve_ref)
@@ -209,6 +236,45 @@ class TestAsymptotics:
         rep = check_g_asymptotics(cv)
         for key, (slope, _) in rep.items():
             assert abs(slope + 1.0 / 3.0) < 0.02, (key, slope)
+
+    @pytest.mark.parametrize("pt", [(1.0, 0.0, 0.0), (1.0, 0.1, 0.2)])
+    def test_matches_sampled_mp_fit(self, pt):
+        cv = build_curve(Params(*pt))
+        got = check_g_asymptotics(cv)
+        want = sampled_g_asymptotics(cv)
+        assert got.keys() == want.keys()
+        for key, (slope, resid) in want.items():
+            assert abs(got[key][0] - slope) <= 1e-9, key
+            assert abs(got[key][1] / resid - 1.0) <= 1e-10, key
+
+    def test_laurent_matches_hamiltonians(self, d_grid20):
+        # g_j - theta_j = -(h1_0/2) tau^-1 - (h2_0/4) tau^-2 + ..., with no
+        # tau^7..tau^0 terms: spectral_curve against tau_expansion
+        for p in d_grid20:
+            cv = build_curve(p)
+            ex = laurent_at_infinity(cv, 2)
+            h = leading_hamiltonians(p, sigma=cv.sigma)
+            assert np.all(np.abs(ex.head) <= ex.head_bound), (p, ex.head)
+            assert abs(ex.tail[0] + h.h1_0 / 2.0) <= 1e-12, p
+            assert abs(ex.tail[1] + h.h2_0 / 4.0) <= 1e-12, p
+
+    def test_remainder_bound_not_met(self, curve_ref):
+        # |tau_min| = 1 lies inside the branch-point radius 1.41
+        with pytest.raises(AsymptoticsError, match="remainder bound"):
+            check_g_asymptotics(curve_ref, radii=np.logspace(0, 3, 24))
+
+    def test_swapped_sheets_fail_certify(self, monkeypatch):
+        # negative control: the tail alone never sees the roots, so the
+        # sheet check is what catches a wrong sheet assignment
+        pt = (1.0, 0.1, 0.2)
+        real = sc.uniformize_all
+        monkeypatch.setattr(sc, "uniformize_all",
+                            lambda curve, lam: real(curve, lam)[[0, 2, 1]])
+        with pytest.raises(AsymptoticsError, match="sheet 2"):
+            check_g_asymptotics(build_curve(Params(*pt)))
+        rows = [r for r in certify_point(pt, 1.0)
+                if r["check"] == "g-asymptotics-slope"]
+        assert len(rows) == 1 and rows[0]["passed"] is False
 
 
 class TestBranchCoeffs:
