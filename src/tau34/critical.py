@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq, minimize_scalar
 
 from . import spectral_curve as sc
 from .param_domain import DomainError, Params
@@ -88,6 +86,8 @@ def nu_critical(eta, mu):
     Solves the surface parametrization for |mu| (monotone in sigma on
     sigma > max(5 eta/3, 0)) and returns nu(sigma).
     """
+    from scipy.optimize import brentq
+
     mu = abs(mu)
     s_lo = max(5.0 * eta / 3.0, 0.0) + 1e-12
 
@@ -120,6 +120,8 @@ GAUSS_ANGLE_ARGMAX = 2.0 * 3.0**0.75 / (5.0 * math.sqrt(5.0))
 
 def gauss_angle_max(lo=1e-3, hi=2.0, tol=1e-10):
     """(eta*, angle*) located by bounded golden-section minimization."""
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(lambda e: -gauss_angle(e), bounds=(lo, hi),
                           method="bounded",
                           options={"xatol": tol})

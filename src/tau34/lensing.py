@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .param_domain import viete_roots
 from .spectral_curve import g_sheets_all
@@ -179,6 +178,8 @@ def gamma_C_separation(q, n_samples=2000, margin=1e-6):
             xs_all.append(xs[good])
             ys_all.append(np.sqrt(y2[good]))
         return np.concatenate(xs_all), np.concatenate(ys_all)
+
+    from scipy.spatial import cKDTree
 
     hx, hy = hyperbola()
     cx, cy = sign_curve()

@@ -14,6 +14,13 @@ The global parametrix M solves the two-cut model problem in closed form via
 the uniformization coordinates; the first small-norm correction is the
 residue W1 of M (P1 (+) 0) M^-1 at the left branch point, computed by circle
 quadrature (the integrand is single-valued around the point).
+
+M is evaluated on arrays: `global_M` and `global_M_side` take an array of
+lam (or x) and return an (..., 3, 3) stack from one root-kernel call (one
+stacked companion-matrix eigenvalue call on the cuts), and a scalar still
+gives a 3x3 matrix.  The residue quadrature, the jump residuals and the
+normalization fit each evaluate all their points in one such call and use
+stacked numpy linear algebra; sums run in node order.
 """
 import cmath
 import math
@@ -22,7 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectral_curve import OMEGA, uniformize_all
+from .spectral_curve import (OMEGA, OnBranchPoint, _cut_side_roots,
+                             uniformize_all)
 
 #: E_ij index pattern of the ray matrices, S_k = I + s_k E[pattern[k]]
 STOKES_PATTERN = {
@@ -42,15 +50,16 @@ SCAL = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
 TRUNCATED_S7 = (0, -1, 0, 0, 1, -1, 0)
 
 #: symmetric-plane parametrizations in the seven parameters (s1..s7);
-#: entries are ints (fixed), 'x'/'y' (free) or ('1-x', ...) style callables
+#: entries are ints (fixed) or (variable, slope, offset) for the affine
+#: slot slope * variable + offset in a free parameter 'x' or 'y'
 STOKES_PLANES = {
-    0: ("x+1", -1, 0, 0, 1, "x", "y"),
-    1: (0, -1, "x", "y", "1-x", -1, 0),
-    2: ("x", "y-1", 1, 0, 0, -1, "y"),
-    3: (0, 0, 1, "x", "y", "-x-1", 1),
-    4: ("x", "y", "1-x", -1, 0, 0, 1),
-    5: (1, 0, 0, -1, "1-y", "x", "y"),
-    6: (1, "-1-y", "x", "y", 1, 0, 0),
+    0: (("x", 1, 1), -1, 0, 0, 1, ("x", 1, 0), ("y", 1, 0)),
+    1: (0, -1, ("x", 1, 0), ("y", 1, 0), ("x", -1, 1), -1, 0),
+    2: (("x", 1, 0), ("y", 1, -1), 1, 0, 0, -1, ("y", 1, 0)),
+    3: (0, 0, 1, ("x", 1, 0), ("y", 1, 0), ("x", -1, -1), 1),
+    4: (("x", 1, 0), ("y", 1, 0), ("x", -1, 1), -1, 0, 0, 1),
+    5: (1, 0, 0, -1, ("y", -1, 1), ("x", 1, 0), ("y", 1, 0)),
+    6: (1, ("y", -1, -1), ("x", 1, 0), ("y", 1, 0), 1, 0, 0),
 }
 
 
@@ -124,10 +133,8 @@ def plane_membership(s7, tol=1e-12):
                     ok = False
                     break
                 continue
-            var = "x" if "x" in pat else "y"
-            b = eval(pat, {"__builtins__": {}}, {var: 0.0})
-            a = eval(pat, {"__builtins__": {}}, {var: 1.0}) - b
-            need = (val - b) / a
+            var, slope, offset = pat
+            need = (val - offset) / slope
             if var in free and abs(free[var] - need) > tol:
                 ok = False
                 break
@@ -197,10 +204,13 @@ class ResidueData:
 
 
 def _phi_rows(u, sigma):
-    """Column (phi1, phi2, phi3)(u); sqrt cut on [-sqrt(s/2), sqrt(s/2)],
-    branch with 1/sqrt(u^2 - s/2) = u^-1 + O(u^-2)."""
+    """M_ij = phi_i(u_j) for sheet roots u (..., 3): shape (..., 3, 3).
+
+    sqrt cut on [-sqrt(s/2), sqrt(s/2)], branch with 1/sqrt(u^2 - s/2) =
+    u^-1 + O(u^-2).
+    """
     a = math.sqrt(sigma / 2.0) if sigma > 0 else 0.0
-    u = np.atleast_1d(np.asarray(u, dtype=complex)).copy()
+    u = np.asarray(u, dtype=complex).copy()
     # normalize -0.0 imaginary parts: off the cut the product below is
     # continuous across the real axis, but only if both factors see the same
     # zero sign; exactly-real points use the upper-limit branch.
@@ -210,40 +220,52 @@ def _phi_rows(u, sigma):
     pref = 1j / math.sqrt(3.0)
     return np.stack([pref * (u * u - 0.75 * sigma) / srt,
                      pref * u / srt,
-                     pref / srt])
+                     pref / srt], axis=-2)
+
+
+def _M_off_cut(curve, lam):
+    """Sheet roots (3, n) and M (n, 3, 3) at lam (n,) off the cuts, with
+    the column-2 sign flip in the lower half plane."""
+    u = uniformize_all(curve, lam)
+    M = _phi_rows(u.T, curve.sigma)
+    M[lam.imag < 0.0, :, 1] *= -1.0
+    return u, M
 
 
 def global_M(gp, lam):
     """The 3x3 parametrix M_ij(lam) = phi_i(u_j(lam)), with the column-2
     sign flip in the lower half plane; Im lam = 0 is treated as the upper
-    limit."""
+    limit.  An array of lam gives a stack of shape lam.shape + (3, 3)."""
     curve = gp.curve
-    lam = complex(lam)
-    scale = 1.0 + abs(lam)
-    if min(abs(lam - curve.alpha), abs(lam - curve.beta)) < 1e-10 * scale:
-        from .spectral_curve import OnBranchPoint
-        raise OnBranchPoint(f"lambda = {lam} is at a branch point")
-    if lam.imag == 0.0 and (lam.real > curve.alpha or lam.real < curve.beta):
-        return global_M_side(gp, lam.real, "+")
-    u = uniformize_all(curve, np.array([lam]))[:, 0]
-    M = _phi_rows(u, curve.sigma)
-    if lam.imag < 0.0:
-        M[:, 1] *= -1.0
-    return M
+    lam = np.asarray(lam, dtype=complex)
+    flat = lam.ravel()
+    near = np.minimum(np.abs(flat - curve.alpha), np.abs(flat - curve.beta))
+    at_branch = near < 1e-10 * (1.0 + np.abs(flat))
+    if at_branch.any():
+        raise OnBranchPoint(
+            f"lambda = {complex(flat[at_branch][0])} is at a branch point")
+    on_cut = (flat.imag == 0.0) & ((flat.real > curve.alpha)
+                                   | (flat.real < curve.beta))
+    M = np.empty((flat.size, 3, 3), dtype=complex)
+    if on_cut.any():
+        M[on_cut] = global_M_side(gp, flat.real[on_cut], "+")
+    if not on_cut.all():
+        M[~on_cut] = _M_off_cut(curve, flat[~on_cut])[1]
+    return M.reshape(lam.shape + (3, 3))
 
 
 def global_M_side(gp, x, side):
-    """Exact boundary value of M on a cut (side '+' = upper limit)."""
-    from .spectral_curve import _cut_side_roots
+    """Exact boundary value of M on a cut (side '+' = upper limit).  An
+    array of x gives a stack of shape x.shape + (3, 3)."""
     curve = gp.curve
-    cut = "alpha" if x > curve.alpha else "beta"
-    u = _cut_side_roots(curve, float(x), cut)
+    x = np.asarray(x, dtype=float)
+    u = _cut_side_roots(curve, x.ravel())
     if side == "-":
         u = u.conjugate()
-    M = _phi_rows(u, curve.sigma)
+    M = _phi_rows(u.T, curve.sigma)
     if side == "-":
-        M[:, 1] *= -1.0
-    return M
+        M[..., 1] *= -1.0
+    return M.reshape(x.shape + (3, 3))
 
 
 def fhat(lam, half=None):
@@ -287,35 +309,31 @@ def residue_W1(gp, radius_factor=1e-2, n_nodes=256, agreement=1e-8,
     the integrand single-valued around the point.  Two radii (r, r/2) must
     agree to `agreement`; the radius auto-shrinks a few times otherwise.
     W1_hat is diag(1,-1,1) W1(mu -> -mu) diag(1,-1,1).
+
+    Each radius is one batched evaluation over all n_nodes midpoint nodes:
+    one root-kernel call, stacked inverses, and a node-order sum.
     """
     from . import spectral_curve as sc
     from .param_domain import Params
 
     curve = gp.curve
     r0 = radius_factor * (1.0 + abs(curve.alpha - curve.beta))
+    coeffs = airy_series(1)
+    A = np.array([[1.0, -1.0j], [-1.0j, 1.0]])
+    B = np.array([[-1.0, 1.0j], [-1.0j, 1.0]])
+    core = 0.5 * (A @ np.diag([float(coeffs.s[1]), float(coeffs.t[1])]) @ B)
+    nodes = np.exp(1j * (2.0 * math.pi * (np.arange(n_nodes) + 0.5)
+                         / n_nodes))
 
     def quad(cv, radius):
-        coeffs = airy_series(1)
-        s1 = float(coeffs.s[1])
-        t1 = float(coeffs.t[1])
-        A = np.array([[1.0, -1.0j], [-1.0j, 1.0]])
-        B = np.array([[-1.0, 1.0j], [-1.0j, 1.0]])
-        core = 0.5 * (A @ np.diag([s1, t1]) @ B)
-        th = 2.0 * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes
-        tot = np.zeros((3, 3), dtype=complex)
-        for tk in th:
-            z = cv.beta + radius * cmath.exp(1j * tk)
-            u = uniformize_all(cv, np.array([z]))[:, 0]
-            gvals = sc.g_of_u(cv, u)
-            X = 2.0 / (gvals[1] - gvals[0])
-            P = np.zeros((3, 3), dtype=complex)
-            P[:2, :2] = core * X
-            M = _phi_rows(u, cv.sigma)
-            if z.imag < 0.0:
-                M[:, 1] *= -1.0
-            tot += (M @ P @ np.linalg.inv(M)) * (radius * 1j
-                                                 * cmath.exp(1j * tk))
-        return tot * (2.0 * math.pi / n_nodes) / (2j * math.pi)
+        z = cv.beta + radius * nodes
+        u, M = _M_off_cut(cv, z)
+        g = sc.g_of_u(cv, u)
+        P = np.zeros((n_nodes, 3, 3), dtype=complex)
+        P[:, :2, :2] = core * (2.0 / (g[1] - g[0]))[:, None, None]
+        terms = (M @ P @ np.linalg.inv(M)) * (radius * 1j * nodes)[:, None,
+                                                                    None]
+        return terms.sum(axis=0) * (2.0 * math.pi / n_nodes) / (2j * math.pi)
 
     def converged(cv):
         r = r0
@@ -346,21 +364,12 @@ def residue_W1(gp, radius_factor=1e-2, n_nodes=256, agreement=1e-8,
 def jump_residuals(gp, n_points=20):
     """max |M+ - M- J| over points on each cut (exact side limits)."""
     curve = gp.curve
-    out = {}
     xs_a = curve.alpha + np.linspace(0.3, 6.0, n_points)
-    res = 0.0
-    for x in xs_a:
-        Mp = global_M_side(gp, x, "+")
-        Mm = global_M_side(gp, x, "-")
-        res = max(res, float(np.max(np.abs(Mp - Mm @ JUMP_ALPHA))))
-    out["alpha"] = res
+    Mp, Mm = global_M_side(gp, xs_a, "+"), global_M_side(gp, xs_a, "-")
+    out = {"alpha": float(np.max(np.abs(Mp - Mm @ JUMP_ALPHA)))}
     xs_b = curve.beta - np.linspace(0.3, 6.0, n_points)
-    res = 0.0
-    for x in xs_b:
-        Mp = global_M_side(gp, x, "+")
-        Mm = global_M_side(gp, x, "-")
-        res = max(res, float(np.max(np.abs(Mm - Mp @ JUMP_BETA))))
-    out["beta"] = res
+    Mp, Mm = global_M_side(gp, xs_b, "+"), global_M_side(gp, xs_b, "-")
+    out["beta"] = float(np.max(np.abs(Mm - Mp @ JUMP_BETA)))
     return out
 
 
@@ -368,9 +377,8 @@ def normalization_slope(gp, radii=None, arg=0.8):
     """Fitted decay slope of ||M f^-1 - I|| over |lam| in [1e3, 1e6]."""
     if radii is None:
         radii = np.logspace(3, 6, 12)
-    devs = []
-    for r in radii:
-        lam = r * cmath.exp(1j * arg)
-        M = global_M(gp, lam)
-        devs.append(np.linalg.norm(M @ np.linalg.inv(fhat(lam)) - np.eye(3)))
+    lam = radii * cmath.exp(1j * arg)
+    dev = global_M(gp, lam) @ np.linalg.inv([fhat(z) for z in lam]) \
+        - np.eye(3)
+    devs = [np.linalg.norm(d) for d in dev]
     return float(np.polyfit(np.log(radii), np.log(devs), 1)[0])

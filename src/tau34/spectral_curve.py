@@ -102,25 +102,37 @@ def build_curve(p, sigma=None):
                          Y_coeffs=Y, g_coeffs=g, alpha=alpha, beta=beta)
 
 
-def _cut_side_roots(curve, x, cut):
-    """Exact side limits of (u1, u2, u3) for real x on a cut.
+def _cut_side_roots(curve, x):
+    """Exact upper-side limits (3, n) of (u1, u2, u3) for real x (n,) on
+    the cuts; x > alpha is on [alpha, inf), anything else on (-inf, beta].
 
     On [alpha, inf) sheets 2 and 3 carry the conjugate pair (upper side:
     u2 = x0 - i y0, u3 = x0 + i y0 with y0 > 0); on (-inf, beta] sheets 1
-    and 2 do (upper side: u1 = x0 + i y0, u2 = x0 - i y0).
+    and 2 do (upper side: u1 = x0 + i y0, u2 = x0 - i y0).  The roots are
+    the eigenvalues of the companion matrices `np.roots` would build, one
+    stacked `eigvals` call for all x.
     """
-    r = np.roots([1.0, 0.0, float(curve.lam_coeffs[1]),
-                  float(curve.lam_coeffs[0]) - x])
-    i_real = int(np.argmin(np.abs(r.imag)))
-    real_root = complex(r[i_real].real, 0.0)
-    pair = [r[i] for i in range(3) if i != i_real]
-    lo = min(pair, key=lambda z: z.imag)
-    hi = max(pair, key=lambda z: z.imag)
-    lo = complex(lo.real, -abs(lo.imag))
-    hi = complex(hi.real, abs(hi.imag))
-    if cut == "alpha":
-        return np.array([real_root, lo, hi])
-    return np.array([hi, lo, real_root])
+    x = np.asarray(x, dtype=float)
+    # first row -(0, lam1, lam0 - x), signed zero included, as in np.roots
+    comp = np.zeros((x.size, 3, 3))
+    comp[:, 0, 0] = -0.0
+    comp[:, 0, 1] = -float(curve.lam_coeffs[1])
+    comp[:, 0, 2] = -(float(curve.lam_coeffs[0]) - x)
+    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
+    r = np.linalg.eigvals(comp).astype(complex)
+    idx = np.arange(x.size)
+    i_real = np.argmin(np.abs(r.imag), axis=1)
+    real_root = r[idx, i_real]
+    real_root.imag = 0.0
+    # the other two roots in index order; ties keep the first, as min/max do
+    first = np.where(i_real == 0, 1, 0)
+    second = np.where(i_real == 2, 1, 2)
+    a, b = r[idx, first], r[idx, second]
+    lo = np.where(a.imag <= b.imag, a, b)
+    hi = np.where(a.imag >= b.imag, a, b)
+    lo.imag = -np.abs(lo.imag)
+    hi.imag = np.abs(hi.imag)
+    return np.where(x > curve.alpha, [real_root, lo, hi], [hi, lo, real_root])
 
 
 def uniformize_all(curve, lam):
@@ -148,9 +160,7 @@ def uniformize(curve, lam, sheet, side=None):
                 raise BranchCutError(
                     f"lambda = {lam.real:g} lies on a cut of sheet {sheet}; "
                     "pass side='+' or side='-'")
-            roots = _cut_side_roots(curve, lam.real,
-                                    "alpha" if on_alpha_cut else "beta")
-            u = roots[sheet - 1]
+            u = _cut_side_roots(curve, np.array([lam.real]))[sheet - 1, 0]
             # u_j(x - i0) = conj(u_j(x + i0)): sheets commute with conjugation
             return complex(u) if side == "+" else complex(u).conjugate()
     u = complex(uniformize_all(curve, np.array([lam]))[sheet - 1, 0])

@@ -297,28 +297,38 @@ def dlogtau_consistency(p, step=1e-5):
     Gradient identities (central differences of varpi0, relative scale):
         d varpi0/d nu - h1/2, d varpi0/d mu - h2/2, d varpi0/d eta - h5/2
     and closedness cross-partials of (h1, h2, h5)/2 in (nu, mu, eta).
+    The branch equation is solved once at p and once at each of the six
+    points p +- h e_var, which every difference in var shares.
     """
     h = leading_hamiltonians(p)
-
-    def fd(func, var, f_h=None):
+    varpi0, h1, h2, h5 = range(4)
+    ends = {}
+    for k, var in enumerate(("eta", "mu", "nu")):
         hh = step * (1.0 + abs(getattr(p, var)))
-        d = {"eta": (hh, 0, 0), "mu": (0, hh, 0), "nu": (0, 0, hh)}[var]
-        pp = pd.Params(p.eta + d[0], p.mu + d[1], p.nu + d[2])
-        pm = pd.Params(p.eta - d[0], p.mu - d[1], p.nu - d[2])
-        return (func(pp) - func(pm)) / (2.0 * hh)
+        d = [0, 0, 0]
+        d[k] = hh
+        vals = []
+        for q in (pd.Params(p.eta + d[0], p.mu + d[1], p.nu + d[2]),
+                  pd.Params(p.eta - d[0], p.mu - d[1], p.nu - d[2])):
+            sigma = pd.solve_sigma(q).sigma
+            hq = leading_hamiltonians(q, sigma=sigma)
+            vals.append((tau_leading(q, sigma=sigma).varpi0,
+                         hq.h1_0, hq.h2_0, hq.h5_0))
+        ends[var] = (hh, vals)
+
+    def fd(i, var):
+        hh, (plus, minus) = ends[var]
+        return (plus[i] - minus[i]) / (2.0 * hh)
 
     grad = (
-        fd(lambda q: tau_leading(q).varpi0, "nu") - 0.5 * h.h1_0,
-        fd(lambda q: tau_leading(q).varpi0, "mu") - 0.5 * h.h2_0,
-        fd(lambda q: tau_leading(q).varpi0, "eta") - 0.5 * h.h5_0,
+        fd(varpi0, "nu") - 0.5 * h.h1_0,
+        fd(varpi0, "mu") - 0.5 * h.h2_0,
+        fd(varpi0, "eta") - 0.5 * h.h5_0,
     )
     closed = (
-        fd(lambda q: leading_hamiltonians(q).h1_0, "mu")
-        - fd(lambda q: leading_hamiltonians(q).h2_0, "nu"),
-        fd(lambda q: leading_hamiltonians(q).h1_0, "eta")
-        - fd(lambda q: leading_hamiltonians(q).h5_0, "nu"),
-        fd(lambda q: leading_hamiltonians(q).h2_0, "eta")
-        - fd(lambda q: leading_hamiltonians(q).h5_0, "mu"),
+        fd(h1, "mu") - fd(h2, "nu"),
+        fd(h1, "eta") - fd(h5, "nu"),
+        fd(h2, "eta") - fd(h5, "mu"),
     )
     return grad, closed
 

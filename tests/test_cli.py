@@ -93,6 +93,16 @@ class TestCertify:
         recs = certify_point((1.1829, 0.1138, 1.1306), 1.0)
         assert [r["check"] for r in recs if not r["passed"]] == []
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "open defect: in_domain_D accepts these points (sigma = 0.66239, "
+        "margin 1.92), but the fixed-ray contours fail: mu = +0.75 fails "
+        "rising-beta (0.0432) and both beta lenses (0.0311), mu = -0.75 "
+        "rising-alpha (0.182) and both alpha lenses"))
+    @pytest.mark.parametrize("mu", [0.75, -0.75])
+    def test_domain_and_lensing_agree(self, mu):
+        recs = certify_point((0.0, mu, -1.0), 1.0)
+        assert [r["check"] for r in recs if not r["passed"]] == []
+
     def test_certify_does_not_import_mpmath(self):
         code = ("import sys; from tau34.cli import certify_point; "
                 "certify_point((1.0, 0.1, 0.2), 1.0); "
@@ -101,6 +111,18 @@ class TestCertify:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    def test_point_commands_do_not_import_scipy(self, tmp_path):
+        code = ("import sys; from tau34.cli import main; "
+                "[main([cmd, '--mu=0.05', '--out', sys.argv[1]]) "
+                "for cmd in ('certify', 'sigma', 'parametrix')]; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code,
+                              str(tmp_path / "out.csv")], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestOutputs:

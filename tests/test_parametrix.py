@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from tau34.parametrix import (JUMP_ALPHA, JUMP_BETA, REFLECT_LEFT,
                               global_M_side, jump_residuals,
                               normalization_slope, plane_membership,
                               residue_W1, stokes_check)
-from tau34.spectral_curve import build_curve
+from tau34.spectral_curve import (OnBranchPoint, _cut_side_roots, build_curve,
+                                  g_of_u, uniformize_all)
 from tau34.tau_expansion import h1_first_correction
 
 
@@ -38,9 +40,9 @@ class TestStokes:
            st.sampled_from(sorted(STOKES_PLANES)))
     @settings(max_examples=80, deadline=None)
     def test_planes_satisfy_constraint(self, x, y, label):
-        pattern = STOKES_PLANES[label]
-        s7 = tuple(eval(str(p), {"__builtins__": {}}, {"x": x, "y": y})
-                   for p in pattern)
+        free = {"x": x, "y": y}
+        s7 = tuple(p if isinstance(p, int) else p[1] * free[p[0]] + p[2]
+                   for p in STOKES_PLANES[label])
         assert stokes_check(StokesData.from_seven(s7))
 
     def test_membership_truncated(self):
@@ -199,3 +201,123 @@ class TestResidue:
         assert abs(pairing.imag) < 1e-10
         want = 0.5 * h1_first_correction(pt)
         assert pairing.real == pytest.approx(want, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation against the per-point loops it replaced
+# ---------------------------------------------------------------------------
+
+#: a few ulps of the entry scale: the batched and the scalar calls do the
+#: same arithmetic, but numpy's vector loops may round a length-1 array and
+#: a longer one differently on some CPUs
+ULPS = 8 * np.finfo(float).eps
+
+
+def scalar_cut_side_roots(curve, x):
+    """Per-point side limits through np.roots (the loop the batch replaced)."""
+    r = np.roots([1.0, 0.0, float(curve.lam_coeffs[1]),
+                  float(curve.lam_coeffs[0]) - x])
+    i_real = int(np.argmin(np.abs(r.imag)))
+    real_root = complex(r[i_real].real, 0.0)
+    pair = [r[i] for i in range(3) if i != i_real]
+    lo = min(pair, key=lambda z: z.imag)
+    hi = max(pair, key=lambda z: z.imag)
+    lo = complex(lo.real, -abs(lo.imag))
+    hi = complex(hi.real, abs(hi.imag))
+    if x > curve.alpha:
+        return np.array([real_root, lo, hi])
+    return np.array([hi, lo, real_root])
+
+
+def node_loop_residue(gp, radius_factor=1e-2, n_nodes=256, agreement=1e-8,
+                      max_shrink=4):
+    """residue_W1 as one root-kernel call and one inverse per node."""
+    curve = gp.curve
+    r0 = radius_factor * (1.0 + abs(curve.alpha - curve.beta))
+    co = airy_series(1)
+    A = np.array([[1.0, -1.0j], [-1.0j, 1.0]])
+    B = np.array([[-1.0, 1.0j], [-1.0j, 1.0]])
+    core = 0.5 * (A @ np.diag([float(co.s[1]), float(co.t[1])]) @ B)
+
+    def quad(cv, radius):
+        a = math.sqrt(cv.sigma / 2.0)
+        tot = np.zeros((3, 3), dtype=complex)
+        for k in range(n_nodes):
+            e = cmath.exp(1j * 2.0 * math.pi * (k + 0.5) / n_nodes)
+            z = cv.beta + radius * e
+            u = uniformize_all(cv, np.array([z]))[:, 0]
+            g = g_of_u(cv, u)
+            P = np.zeros((3, 3), dtype=complex)
+            P[:2, :2] = core * (2.0 / (g[1] - g[0]))
+            srt = np.sqrt(u - a) * np.sqrt(u + a)
+            M = (1j / math.sqrt(3.0)) * np.array(
+                [(u * u - 0.75 * cv.sigma) / srt, u / srt, 1.0 / srt])
+            if z.imag < 0.0:
+                M[:, 1] *= -1.0
+            tot += (M @ P @ np.linalg.inv(M)) * (radius * 1j * e)
+        return tot * (2.0 * math.pi / n_nodes) / (2j * math.pi)
+
+    def converged(cv):
+        r = r0
+        for _ in range(max_shrink):
+            w_a, w_b = quad(cv, r), quad(cv, r / 2.0)
+            if np.max(np.abs(w_a - w_b)) < agreement:
+                return w_b
+            r /= 2.0
+        raise RuntimeError("residue quadrature did not stabilize")
+
+    p = curve.params
+    W1 = converged(curve)
+    W1m = W1 if p.mu == 0.0 else converged(
+        build_curve(Params(p.eta, -p.mu, p.nu), sigma=curve.sigma))
+    D = np.diag([1.0, -1.0, 1.0])
+    return W1, D @ W1m @ D
+
+
+class TestBatched:
+    @pytest.mark.parametrize("pt", [(1.0, 0.0, 0.0), (1.0, 0.05, -0.3),
+                                    (0.5, -0.05, -0.1), (2.0, 0.1, 0.2)])
+    def test_residue_matches_node_loop(self, pt):
+        gp = GlobalParametrix(curve=build_curve(Params(*pt)))
+        rd = residue_W1(gp)
+        W1, W1_hat = node_loop_residue(gp)
+        assert np.max(np.abs(rd.W1 - W1)) <= 1e-14
+        assert np.max(np.abs(rd.W1_hat - W1_hat)) <= 1e-14
+
+    def test_global_M_stack_equals_scalar_calls(self, gp_mu):
+        cv = gp_mu.curve
+        lam = np.array([2.5 + 1.3j, -4.0 + 0.7j, 1.0 - 2.0j, 40.0 - 9.0j,
+                        cv.alpha + 1.9, cv.beta - 0.8, 0.5 * (cv.alpha
+                                                              + cv.beta)])
+        stack = global_M(gp_mu, lam)
+        assert stack.shape == (len(lam), 3, 3)
+        for z, M in zip(lam, stack):
+            one = global_M(gp_mu, complex(z))
+            assert one.shape == (3, 3)
+            assert np.max(np.abs(M - one)) <= ULPS * np.max(np.abs(one))
+        assert global_M(gp_mu, lam.reshape(7, 1)).shape == (7, 1, 3, 3)
+
+    def test_global_M_stack_rejects_branch_point(self, gp_mu):
+        with pytest.raises(OnBranchPoint):
+            global_M(gp_mu, np.array([1.0 + 1.0j, gp_mu.curve.beta]))
+
+    @pytest.mark.parametrize("side", ["+", "-"])
+    def test_global_M_side_stack_equals_scalar_calls(self, gp_mu, side):
+        cv = gp_mu.curve
+        xs = np.concatenate([cv.alpha + np.linspace(0.3, 6.0, 5),
+                             cv.beta - np.linspace(0.3, 6.0, 5)])
+        stack = global_M_side(gp_mu, xs, side)
+        for x, M in zip(xs, stack):
+            one = global_M_side(gp_mu, float(x), side)
+            assert one.shape == (3, 3)
+            assert np.max(np.abs(M - one)) <= ULPS * np.max(np.abs(one))
+
+    @pytest.mark.parametrize("pt", [(1.0, 0.3, -0.2), (1.0, 0.0, 0.0),
+                                    (0.5, -0.05, -0.1)])
+    def test_cut_side_roots_match_np_roots(self, pt):
+        cv = build_curve(Params(*pt))
+        xs = np.concatenate([cv.alpha + np.geomspace(1e-6, 1e3, 40),
+                             cv.beta - np.geomspace(1e-6, 1e3, 40)])
+        batch = _cut_side_roots(cv, xs)
+        for k, x in enumerate(xs):
+            assert np.array_equal(batch[:, k], scalar_cut_side_roots(cv, x))
