@@ -3,7 +3,7 @@
 Subcommands: sigma, certify, surface, tau, parametrix, critical, pi.
 Global flags: --eta/--mu/--nu (point mode), --grid SPEC (per-axis
 min:max:count[:log], comma-separated), --format csv|json, --out PATH,
---jobs N, --tol-scale F, --config PATH.  Outputs are deterministic and
+--tol-scale F, --config PATH.  Outputs are deterministic and
 bit-identical across runs; numbers are written with 17 significant digits.
 
 Exit codes: 0 success, 1 certification failure, 2 usage/config error.
@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,13 +142,6 @@ def point_grid(args):
     return pts
 
 
-def map_points(points, func, jobs):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as exe:
-            return list(exe.map(func, points))
-    return [func(pt) for pt in points]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -166,14 +158,22 @@ def cmd_sigma(args):
                 "sigma": rep.sigma, "margin": rep.margin,
                 "in_D": bool(rep.in_D)}
 
-    records = map_points(points, work, args.jobs)
+    records = [work(pt) for pt in points]
     return RunReport("sigma", __version__, records, 0, 0.0), SIGMA_COLUMNS
 
 
 CERTIFY_COLUMNS = ["eta", "mu", "nu", "check", "value", "tolerance", "passed"]
 
 
-def certify_point(pt, tol_scale, corrupt_stokes=False):
+def stokes_verdict(corrupt=False):
+    """Exact truncated Stokes constraint (one multiplier off if `corrupt`)."""
+    data = px.StokesData.truncated()
+    if corrupt:
+        data = px.StokesData(s={**data.s, 5: data.s[5] + 1})
+    return px.stokes_check(data)
+
+
+def certify_point(pt, tol_scale, stokes_ok=None):
     eta, mu, nu = pt
     p = pd.Params(eta, mu, nu)
     records = []
@@ -213,27 +213,23 @@ def certify_point(pt, tol_scale, corrupt_stokes=False):
     add("M-normalization-slope",
         abs(px.normalization_slope(gp) + 1.0), 0.05 * tol_scale)
 
-    data = px.StokesData.truncated()
-    if corrupt_stokes:
-        bad = dict(data.s)
-        bad[5] = bad[5] + 1
-        data = px.StokesData(s=bad)
-    stokes_ok = px.stokes_check(data)
+    if stokes_ok is None:
+        stokes_ok = stokes_verdict()
     add("stokes-constraint", 0.0 if stokes_ok else 1.0, 0.0, ok=stokes_ok)
 
     if not boundary:
-        grad, closed = te.dlogtau_consistency(p)
-        scale = 1.0 + abs(te.tau_leading(p, sigma=sigma).varpi0)
+        grad, closed = te.dlogtau_consistency(p, sigma=sigma)
+        tl = te.tau_leading(p, sigma=sigma)
+        scale = 1.0 + abs(tl.varpi0)
         add("dlogtau-gradients", max(map(abs, grad)) / scale,
             1e-6 * tol_scale)
         add("dlogtau-closedness", max(map(abs, closed)) / scale,
             1e-6 * tol_scale)
-        flows = te.flow_compatibility(p)
+        flows = te.flow_compatibility(p, sigma=sigma)
         add("flow-compatibility", max(map(abs, flows)), 1e-10 * tol_scale)
-        sol = pd.solve_sigma(p)
-        tl = te.tau_leading(p, sigma=sol.sigma)
-        chi_resid = abs(tl.chi + 2.0 * (5.0 * eta - 3.0 * sol.sigma)
-                        * sol.dP_dsigma)
+        # P depends on mu^2 only: this is the dP/dsigma solve_sigma returns
+        dP = pd.eval_P(sigma, p)[1]
+        chi_resid = abs(tl.chi + 2.0 * (5.0 * eta - 3.0 * sigma) * dP)
         add("chi-identity", chi_resid / (1.0 + abs(tl.chi)),
             1e-12 * tol_scale)
     return records
@@ -241,10 +237,10 @@ def certify_point(pt, tol_scale, corrupt_stokes=False):
 
 def cmd_certify(args):
     points = point_grid(args)
+    stokes_ok = stokes_verdict(args.corrupt_stokes)
     records = []
     for pt in points:
-        records.extend(certify_point(pt, args.tol_scale,
-                                     corrupt_stokes=args.corrupt_stokes))
+        records.extend(certify_point(pt, args.tol_scale, stokes_ok))
     n_failed = sum(not r["passed"] for r in records)
     return RunReport("certify", __version__, records, n_failed, 0.0), \
         CERTIFY_COLUMNS
@@ -293,7 +289,7 @@ def cmd_tau(args):
                 "varpi0": tl.varpi0, "chi": tl.chi, "h1_0": h.h1_0,
                 "h2_0": h.h2_0, "h5_0": h.h5_0}
 
-    records = map_points(points, work, args.jobs)
+    records = [work(pt) for pt in points]
     return RunReport("tau", __version__, records, 0, 0.0), TAU_COLUMNS
 
 
@@ -402,7 +398,6 @@ def build_parser():
         "--format": dict(dest="format_", choices=("csv", "json"),
                          default="csv"),
         "--out": dict(type=str, default=None),
-        "--jobs": dict(type=int, default=1),
         "--tol-scale": dict(dest="tol_scale", type=float, default=1.0),
     }
     for name, fn in (("sigma", cmd_sigma), ("certify", cmd_certify),
@@ -430,7 +425,7 @@ def apply_config(args, argv):
     passed_flags = {a.lstrip("-").split("=", 1)[0].replace("-", "_")
                     for a in argv if a.startswith("--")}
     mapping = {"eta": float, "mu": float, "nu": float, "grid": str,
-               "format": str, "out": str, "jobs": int, "tol-scale": float,
+               "format": str, "out": str, "tol-scale": float,
                "kmax": int, "x-start": float, "x-end": float,
                "x-count": int}
     for key, raw in conf.items():

@@ -13,6 +13,10 @@ This module solves the equation (predictor-corrector continuation), manages
 the (a, b, c) <-> (eta, mu, nu) coordinate systems of the uniformized
 spectral curve, and produces derivative towers of the root by implicit
 differentiation.
+
+The continuation runs on plain floats: a numpy call on a 3-vector costs more
+than a step's few float operations.  So the predictor's dot product is a
+written-out sum; it may round unlike a BLAS dot, which Newton absorbs.
 """
 import math
 from dataclasses import dataclass
@@ -37,14 +41,13 @@ BOUNDARY_MARGIN = 1e-8
 NEWTON_TOL = 1e-13
 
 
-def _is_multiple(sigma, p):
-    """Root-collision test at a converged root.
+def _is_multiple(sigma, p, dP):
+    """Root-collision test at a converged root with P_s = dP.
 
     |P_s| < 1e-8 (1+s^2) is the documented hard floor, but at an exact double
     root Newton stalls with |P_s| ~ sqrt(|P_ss| * residual) ~ 1e-6, so the
     margin is also compared against that Newton-basin floor.
     """
-    _, dP = eval_P(sigma, p)
     scale = 1.0 + sigma * sigma
     if abs(dP) < BOUNDARY_MARGIN * scale:
         return True
@@ -105,35 +108,53 @@ class SigmaJets:
     deta: float
 
 
-def eval_P(sigma, p):
-    """P(sigma; p) and dP/dsigma, exactly as written (pole term included)."""
-    den = 5.0 * p.eta - 3.0 * sigma
-    if p.mu == 0.0:
+def _eval_P(sigma, eta, mu, nu):
+    """P and dP/dsigma on plain floats (see `eval_P`)."""
+    den = 5.0 * eta - 3.0 * sigma
+    if mu == 0.0:
         pole = 0.0
         dpole = 0.0
     else:
-        if abs(den) < 1e-12 * (1.0 + abs(p.eta) + abs(sigma)):
+        if abs(den) < 1e-12 * (1.0 + abs(eta) + abs(sigma)):
             raise PolePassed(f"5*eta - 3*sigma = {den:g} is at the pole")
-        pole = 6.0 * p.mu**2 / den**2
-        dpole = 36.0 * p.mu**2 / den**3
-    value = p.nu + 0.5 * sigma**3 - 1.25 * p.eta * sigma**2 + pole
-    d_dsigma = 1.5 * sigma**2 - 2.5 * p.eta * sigma + dpole
+        pole = 6.0 * mu**2 / den**2
+        dpole = 36.0 * mu**2 / den**3
+    value = nu + 0.5 * sigma**3 - 1.25 * eta * sigma**2 + pole
+    d_dsigma = 1.5 * sigma**2 - 2.5 * eta * sigma + dpole
     return value, d_dsigma
 
 
-def _newton(sigma, p, tol=NEWTON_TOL, maxit=5):
+def eval_P(sigma, p):
+    """P(sigma; p) and dP/dsigma, exactly as written (pole term included)."""
+    return _eval_P(sigma, p.eta, p.mu, p.nu)
+
+
+def _P_eta_mu(sigma, eta, mu):
+    """(dP/deta, dP/dmu) at fixed sigma on plain floats; dP/dnu = 1."""
+    if mu == 0.0:
+        return -1.25 * sigma**2, 0.0
+    den = 5.0 * eta - 3.0 * sigma
+    return -1.25 * sigma**2 - 60.0 * mu**2 / den**3, 12.0 * mu / den**2
+
+
+def _param_gradient(sigma, p):
+    """(dP/deta, dP/dmu, dP/dnu) at fixed sigma."""
+    return np.array([*_P_eta_mu(sigma, p.eta, p.mu), 1.0])
+
+
+def _newton(sigma, eta, mu, nu, tol=NEWTON_TOL, maxit=5):
     """Newton iterations on P; returns (sigma, value, dP) or None."""
     try:
         for _ in range(maxit):
-            value, dP = eval_P(sigma, p)
+            value, dP = _eval_P(sigma, eta, mu, nu)
             if abs(dP) < BOUNDARY_MARGIN * (1.0 + sigma**2):
                 return None
             step = value / dP
             sigma -= step
             if abs(step) < 1e-16 * (1.0 + abs(sigma)):
                 break
-        value, dP = eval_P(sigma, p)
-    except PolePassed:
+        value, dP = _eval_P(sigma, eta, mu, nu)
+    except (PolePassed, OverflowError):     # overflow: far out of scale
         return None
     if abs(value) > tol * (1.0 + abs(sigma) ** 3):
         return None
@@ -151,24 +172,23 @@ def solve_sigma(p, reference=None):
     if p.mu < 0.0:
         p = Params(p.eta, -p.mu, p.nu)
     if reference is None:
-        eta0 = max(p.eta, 1.0)
-        reference = Params(eta0, 0.0, 0.0)
-    sigma = 2.5 * reference.eta
-    start = np.array([reference.eta, reference.mu, reference.nu])
-    target = np.array([p.eta, p.mu, p.nu])
+        reference = Params(max(p.eta, 1.0), 0.0, 0.0)
+    e0, m0, n0 = reference.eta, reference.mu, reference.nu
+    de, dm, dn = p.eta - e0, p.mu - m0, p.nu - n0
+    sigma = 2.5 * e0
+    # P_s and (P_eta, P_mu) at (sigma, t); the corrector evaluated P_s
+    dP = eval_P(sigma, reference)[1]
+    P_eta, P_mu = _P_eta_mu(sigma, e0, m0)
     t = 0.0
     dt = 0.1
-    pole_sign = 5.0 * reference.eta - 3.0 * sigma
-    margin = abs(eval_P(sigma, reference)[1])
+    pole_sign = 5.0 * e0 - 3.0 * sigma
     while t < 1.0:
         dt = min(dt, 1.0 - t)
-        pt = Params(*(start + (t + dt) * (target - start)))
+        s = t + dt
+        e, m, n = e0 + s * de, m0 + s * dm, n0 + s * dn
         # Euler predictor: ds = -(P_eta deta + P_mu dmu + P_nu dnu)/P_s
-        here = Params(*(start + t * (target - start)))
-        _, dP = eval_P(sigma, here)
-        grad = _param_gradient(sigma, here)
-        pred = sigma - dt * float(grad @ (target - start)) / dP
-        got = _newton(pred, pt)
+        pred = sigma - dt * (P_eta * de + P_mu * dm + dn) / dP
+        got = _newton(pred, e, m, n)
         # guard against hopping onto a different branch across a pinch:
         # the D-root satisfies sigma > max(5 eta/3, 0) and its margin cannot
         # collapse by an order of magnitude within one accepted step.
@@ -176,41 +196,28 @@ def solve_sigma(p, reference=None):
         if not bad:
             s_new, _, dP_new = got
             scale = 1.0 + s_new * s_new
-            bad = (s_new < max(5.0 * pt.eta / 3.0, 0.0) - 1e-9 * scale
+            bad = (s_new < max(5.0 * e / 3.0, 0.0) - 1e-9 * scale
                    or abs(dP_new) < BOUNDARY_MARGIN * scale
-                   or abs(dP_new) < 0.1 * margin and dt > 1e-6)
+                   or abs(dP_new) < 0.1 * abs(dP) and dt > 1e-6)
         if bad:
             if dt > 1e-10:
                 dt /= 2.0
                 continue
             raise BoundaryReached(
-                f"root became multiple near t={t:.6f} on the path to {pt}")
-        sigma = got[0]
-        margin = abs(got[2])
-        new_sign = 5.0 * pt.eta - 3.0 * sigma
+                f"root became multiple near t={t:.6f} at {(e, m, n)}")
+        sigma, _, dP = got
+        new_sign = 5.0 * e - 3.0 * sigma
         if p.mu != 0.0 and (new_sign == 0.0 or (new_sign > 0) != (pole_sign > 0)):
-            raise PolePassed(
-                f"5*eta - 3*sigma changed sign near t={t + dt:.6f}")
+            raise PolePassed(f"5*eta - 3*sigma changed sign near t={s:.6f}")
         pole_sign = new_sign
-        t += dt
+        t = s
+        P_eta, P_mu = _P_eta_mu(sigma, e, m)
         dt = min(dt * 2.0, 0.1)
     value, dP = eval_P(sigma, p)
-    if _is_multiple(sigma, p):
+    if _is_multiple(sigma, p, dP):
         raise BoundaryReached("target point lies on the critical surface")
     return SigmaSolution(sigma=sigma, dP_dsigma=dP, residual=abs(value),
                          path_ok=True)
-
-
-def _param_gradient(sigma, p):
-    """(dP/deta, dP/dmu, dP/dnu) at fixed sigma."""
-    den = 5.0 * p.eta - 3.0 * sigma
-    if p.mu == 0.0:
-        dmu = 0.0
-        deta = -1.25 * sigma**2
-    else:
-        dmu = 12.0 * p.mu / den**2
-        deta = -1.25 * sigma**2 - 60.0 * p.mu**2 / den**3
-    return np.array([deta, dmu, 1.0])
 
 
 def viete_roots(b, c):
@@ -270,9 +277,7 @@ def in_domain_D(p):
     """Domain membership report; never raises."""
     try:
         sol = solve_sigma(p)
-    except BoundaryReached as exc:
-        return DomainReport(False, math.nan, 0.0, False, False, str(exc))
-    except PolePassed as exc:
+    except (BoundaryReached, PolePassed) as exc:
         return DomainReport(False, math.nan, 0.0, False, False, str(exc))
     sign_ok = sol.sigma > max(5.0 * p.eta / 3.0, 0.0)
     in_d = sol.path_ok and sign_ok

@@ -268,7 +268,7 @@ def string_residual(p, jet, hbar):
     return abs(r1), abs(r2)
 
 
-def flow_compatibility(p):
+def flow_compatibility(p, sigma=None):
     """Residuals of the three leading-order flow identities.
 
       (i)   du0/dmu + 2 dv0/dnu
@@ -277,7 +277,7 @@ def flow_compatibility(p):
 
     computed from the implicit-differentiation jets (no finite differences).
     """
-    jets = pd.sigma_jets(p, depth=1)
+    jets = pd.sigma_jets(p, depth=1, sigma=sigma)
     s, sp_ = jets.dnu
     eta, mu = p.eta, p.mu
     den = 5.0 * eta - 3.0 * s
@@ -291,7 +291,7 @@ def flow_compatibility(p):
     return r1, r2, r3
 
 
-def dlogtau_consistency(p, step=1e-5):
+def dlogtau_consistency(p, step=1e-5, sigma=None):
     """Residuals of the six tau-differential identities at p.
 
     Gradient identities (central differences of varpi0, relative scale):
@@ -300,7 +300,7 @@ def dlogtau_consistency(p, step=1e-5):
     The branch equation is solved once at p and once at each of the six
     points p +- h e_var, which every difference in var shares.
     """
-    h = leading_hamiltonians(p)
+    h = leading_hamiltonians(p, sigma=sigma)
     varpi0, h1, h2, h5 = range(4)
     ends = {}
     for k, var in enumerate(("eta", "mu", "nu")):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tau34.param_domain import (ABCoords, BoundaryReached, DomainError,
-                                Params, eval_P, in_domain_D, inverse_abc,
-                                jacobian_abc, map_abc, sigma_jets,
-                                solve_sigma, viete_roots)
+from tau34.param_domain import (BOUNDARY_MARGIN, NEWTON_TOL, ABCoords,
+                                BoundaryReached, DomainError, Params,
+                                PolePassed, SigmaSolution, _is_multiple,
+                                _param_gradient, eval_P, in_domain_D,
+                                inverse_abc, jacobian_abc, map_abc,
+                                sigma_jets, solve_sigma, viete_roots)
 
 
 class TestEvalP:
@@ -61,6 +64,136 @@ class TestSolveSigma:
             sol = solve_sigma(p)
             assert sol.residual <= 1e-13 * (1.0 + abs(sol.sigma) ** 3)
             assert sol.path_ok
+
+
+def _reference_newton(sigma, p, tol=NEWTON_TOL, maxit=5):
+    try:
+        for _ in range(maxit):
+            value, dP = eval_P(sigma, p)
+            if abs(dP) < BOUNDARY_MARGIN * (1.0 + sigma**2):
+                return None
+            step = value / dP
+            sigma -= step
+            if abs(step) < 1e-16 * (1.0 + abs(sigma)):
+                break
+        value, dP = eval_P(sigma, p)
+    except PolePassed:
+        return None
+    if abs(value) > tol * (1.0 + abs(sigma) ** 3):
+        return None
+    return sigma, value, dP
+
+
+def _reference_solve_sigma(p, reference=None):
+    """Test-only oracle: the continuation on numpy 3-vectors and `Params`
+    path points, with the predictor's dot product taken by numpy."""
+    if p.mu < 0.0:
+        p = Params(p.eta, -p.mu, p.nu)
+    if reference is None:
+        reference = Params(max(p.eta, 1.0), 0.0, 0.0)
+    sigma = 2.5 * reference.eta
+    start = np.array([reference.eta, reference.mu, reference.nu])
+    target = np.array([p.eta, p.mu, p.nu])
+    t = 0.0
+    dt = 0.1
+    pole_sign = 5.0 * reference.eta - 3.0 * sigma
+    margin = abs(eval_P(sigma, reference)[1])
+    while t < 1.0:
+        dt = min(dt, 1.0 - t)
+        pt = Params(*(start + (t + dt) * (target - start)))
+        here = Params(*(start + t * (target - start)))
+        _, dP = eval_P(sigma, here)
+        grad = _param_gradient(sigma, here)
+        pred = sigma - dt * float(grad @ (target - start)) / dP
+        got = _reference_newton(pred, pt)
+        bad = got is None
+        if not bad:
+            s_new, _, dP_new = got
+            scale = 1.0 + s_new * s_new
+            bad = (s_new < max(5.0 * pt.eta / 3.0, 0.0) - 1e-9 * scale
+                   or abs(dP_new) < BOUNDARY_MARGIN * scale
+                   or abs(dP_new) < 0.1 * margin and dt > 1e-6)
+        if bad:
+            if dt > 1e-10:
+                dt /= 2.0
+                continue
+            raise BoundaryReached(f"root became multiple near t={t:.6f}")
+        sigma = got[0]
+        margin = abs(got[2])
+        new_sign = 5.0 * pt.eta - 3.0 * sigma
+        if p.mu != 0.0 and (new_sign == 0.0
+                            or (new_sign > 0) != (pole_sign > 0)):
+            raise PolePassed(f"5*eta - 3*sigma changed sign near t={t:.6f}")
+        pole_sign = new_sign
+        t += dt
+        dt = min(dt * 2.0, 0.1)
+    value, dP = eval_P(sigma, p)
+    if _is_multiple(sigma, p, dP):
+        raise BoundaryReached("target point lies on the critical surface")
+    return SigmaSolution(sigma=sigma, dP_dsigma=dP, residual=abs(value),
+                         path_ok=True)
+
+
+def _outcome(solve, p, reference=None):
+    try:
+        return solve(p, reference=reference)
+    except (BoundaryReached, PolePassed) as exc:
+        return type(exc)
+
+
+# the 5 x 4 x 4 smoke axes of the benchmark's sigma sweep
+SWEEP_SMOKE = list(itertools.product(np.linspace(-3.0, 3.0, 5),
+                                     np.linspace(-1.0, 1.0, 4),
+                                     np.linspace(-5.0, 5.0, 4)))
+
+
+class TestAgainstReference:
+    """The float continuation against the numpy-vector oracle.
+
+    The two round every path point and P evaluation alike; only the
+    predictor's dot may round differently (BLAS against a written-out sum),
+    which the Newton corrector absorbs, so results agree to a few ulps.
+    """
+
+    @staticmethod
+    def _check(p, reference=None):
+        got = _outcome(solve_sigma, p, reference)
+        want = _outcome(_reference_solve_sigma, p, reference)
+        if isinstance(want, type):
+            assert got is want, p
+            return want
+        assert isinstance(got, SigmaSolution), p
+        assert got.path_ok == want.path_ok
+        for name in ("sigma", "dP_dsigma", "residual"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert abs(a - b) <= 4 * math.ulp(max(abs(a), abs(b))), (p, name)
+        return SigmaSolution
+
+    def test_sweep_smoke_axes(self):
+        outcomes = [self._check(Params(*map(float, pt)))
+                    for pt in SWEEP_SMOKE]
+        n_out = outcomes.count(BoundaryReached)
+        assert 0 < n_out < len(outcomes)
+
+    def test_gamma_plus_raises(self):
+        p = Params(1.0, 0.0, 125.0 / 108.0)
+        assert self._check(p) is BoundaryReached
+
+    def test_pole_passed(self):
+        # The sign test after an accepted step did not fire in 40,000
+        # random paths (the sigma > 5 eta/3 guard rejects those steps
+        # first), so the pole is met at the reference point itself.
+        p = Params(1.0, 0.1, 0.0)
+        assert self._check(p, Params(0.0, 0.1, 0.0)) is PolePassed
+
+    def test_negative_mu(self):
+        assert self._check(Params(1.0, -0.08, -0.3)) is SigmaSolution
+
+    @pytest.mark.parametrize("reference", [Params(2.0, 0.0, 0.0),
+                                           Params(0.7, 0.0, 0.0)])
+    def test_explicit_reference(self, reference):
+        assert self._check(Params(1.3, 0.2, -0.4), reference) \
+            is SigmaSolution
 
 
 class TestViete:
