@@ -387,27 +387,25 @@ def build_parser():
         description="Spectral-curve and tau-function numerics for the "
                     "(3,4) string equation")
     sub = ap.add_subparsers(dest="command", required=True)
-    common = {
-        "--config": dict(type=str, default=None,
-                         help="flat key = value config file"),
-        "--eta": dict(type=float, default=1.0),
-        "--mu": dict(type=float, default=0.0),
-        "--nu": dict(type=float, default=0.0),
-        "--grid": dict(type=str, default=None,
-                       help="per-axis min:max:count[:log], comma separated"),
-        "--format": dict(dest="format_", choices=("csv", "json"),
-                         default="csv"),
-        "--out": dict(type=str, default=None),
-        "--tol-scale": dict(dest="tol_scale", type=float, default=1.0),
-    }
+    # the flags every subcommand takes, declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=str, default=None,
+                        help="flat key = value config file")
+    common.add_argument("--eta", type=float, default=1.0)
+    common.add_argument("--mu", type=float, default=0.0)
+    common.add_argument("--nu", type=float, default=0.0)
+    common.add_argument("--grid", type=str, default=None,
+                        help="per-axis min:max:count[:log], comma separated")
+    common.add_argument("--format", dest="format_", choices=("csv", "json"),
+                        default="csv")
+    common.add_argument("--out", type=str, default=None)
+    common.add_argument("--tol-scale", dest="tol_scale", type=float,
+                        default=1.0)
     for name, fn in (("sigma", cmd_sigma), ("certify", cmd_certify),
                      ("surface", cmd_surface), ("tau", cmd_tau),
                      ("parametrix", cmd_parametrix),
                      ("critical", cmd_critical), ("pi", cmd_pi)):
-        sp = sub.add_parser(name)
-        for flag, kw in common.items():
-            sp.add_argument(flag, **kw)
-        sp.set_defaults(func=fn)
+        sub.add_parser(name, parents=[common]).set_defaults(func=fn)
     sub.choices["certify"].add_argument("--corrupt-stokes",
                                         action="store_true",
                                         help="debug: negative control")

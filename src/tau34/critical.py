@@ -589,6 +589,29 @@ def tauhat0_exponent(eta, nu, eta0):
             - Fraction(5, 12) * eta0 * nu**2)
 
 
+def _largest_real_root(mp, b, d):
+    """Largest real root of s^3/2 + b s^2 + d at the precision of `mp`.
+
+    Real Newton iteration seeded from the largest real root of `np.roots`;
+    on the plus stratum the split roots are ~h^(2/5) apart against a seed
+    error of ~1e-8, so the seed lies in the right root's basin.  The
+    iteration runs with 80 extra bits, so that the step of a nearly double
+    root still falls below the 2^-(prec+4) relative stopping bound.
+    """
+    seeds = np.roots([0.5, float(b), 0.0, float(d)])
+    s = mp.mpf(float(seeds[seeds.imag == 0].real.max()))
+    tol = mp.ldexp(1, -(mp.prec + 4))
+    with mp.extraprec(80):
+        for _ in range(60):
+            ds = ((s / 2 + b) * s * s + d) / ((3 * s / 2 + 2 * b) * s)
+            s -= ds
+            if abs(ds) <= tol * abs(s):
+                break
+        else:
+            raise mp.NoConvergence("largest real root: no Newton convergence")
+    return +s
+
+
 def tritronquee_constant(eta0, side, n_vec=(0.0, -1.0), x=-1.0,
                          hbars=(1e-10, 1e-10 / 32.0), dps=40):
     """Leading coefficient of the double-scaled branch root against
@@ -617,11 +640,7 @@ def tritronquee_constant(eta0, side, n_vec=(0.0, -1.0), x=-1.0,
             eh = mp.mpf(eta0) - C * n_vec[0] * x * hm ** mp.mpf("0.8")
             nh = (mp.mpf(125) / 108 * mp.mpf(eta0) ** 3
                   - C * n_vec[1] * x * hm ** mp.mpf("0.8"))
-            roots = mp.polyroots([mp.mpf("0.5"), -mp.mpf("1.25") * eh,
-                                  mp.mpf(0), nh], maxsteps=200,
-                                 extraprec=80)
-            reals = sorted(r.real for r in roots if abs(r.imag) < 1e-20)
-            sig = reals[-1]
+            sig = _largest_real_root(mp, -mp.mpf("1.25") * eh, nh)
             delta = sig - 5 * eh / 3
             val = (mp.mpf(0.25) * (mp.mpf(10) * eta0 / 3) ** mp.mpf("0.4")
                    * delta / hm ** mp.mpf("0.4") / mp.sqrt(-mp.mpf(x)))
@@ -631,11 +650,7 @@ def tritronquee_constant(eta0, side, n_vec=(0.0, -1.0), x=-1.0,
             s = -eta0
             c = (mp.mpf(5) * s / 6) ** mp.mpf("0.2")
             nh = c * hm ** mp.mpf("0.8") * x
-            roots = mp.polyroots([mp.mpf("0.5"), -mp.mpf("1.25") * eta0,
-                                  mp.mpf(0), nh], maxsteps=200,
-                                 extraprec=80)
-            reals = sorted(r.real for r in roots if abs(r.imag) < 1e-20)
-            sig = reals[-1]
+            sig = _largest_real_root(mp, -mp.mpf("1.25") * eta0, nh)
             val = (mp.mpf(0.5) * (mp.mpf(5) * s / 6) ** mp.mpf("0.4")
                    * sig / hm ** mp.mpf("0.4") / mp.sqrt(-mp.mpf(x)))
         else:

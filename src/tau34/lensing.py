@@ -113,15 +113,22 @@ _ORIENT = {
 
 
 def verify_inequalities(curve, contours=None, samples=1000):
-    """Sampled certification of the four sign conditions; returns reports."""
+    """Sampled certification of the four sign conditions; returns reports.
+
+    The samples of all contours go through one `g_sheets_all` call."""
     if contours is None:
         contours = standard_contours(curve, samples=samples)
+    points = [spec.points() for spec in contours]
+    if not points:
+        return []
+    g = g_sheets_all(curve, np.concatenate(points))
     reports = []
-    for spec in contours:
+    start = 0
+    for spec, lam in zip(contours, points):
         (i, j), sign = _ORIENT[spec.kind]
-        lam = spec.points()
-        g = g_sheets_all(curve, lam)
-        vals = sign * np.real(g[i - 1] - g[j - 1])
+        stop = start + lam.shape[0]
+        vals = sign * np.real(g[i - 1, start:stop] - g[j - 1, start:stop])
+        start = stop
         k = int(np.argmin(vals))
         reports.append(SignReport(contour=spec,
                                   min_signed_value=float(vals[k]),

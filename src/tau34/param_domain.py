@@ -279,6 +279,10 @@ def in_domain_D(p):
         sol = solve_sigma(p)
     except (BoundaryReached, PolePassed) as exc:
         return DomainReport(False, math.nan, 0.0, False, False, str(exc))
+    except OverflowError:
+        # |eta| above ~1e102: the reference root 2.5*eta cannot be cubed
+        return DomainReport(False, math.nan, 0.0, False, False,
+                            "branch equation overflows at this scale")
     sign_ok = sol.sigma > max(5.0 * p.eta / 3.0, 0.0)
     in_d = sol.path_ok and sign_ok
     reason = "" if in_d else "sign condition sigma > max(5 eta/3, 0) failed"

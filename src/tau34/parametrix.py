@@ -80,12 +80,6 @@ class StokesData:
             s[i - 8] = -val
         return cls(s=s)
 
-    def matrix(self, k):
-        i, j = STOKES_PATTERN[k]
-        m = identity3()
-        m[i - 1][j - 1] += _exact(self.s[k])
-        return m
-
 
 def _exact(x):
     if isinstance(x, Fraction):
@@ -107,13 +101,22 @@ def _matmul3(a, b):
             for i in range(3)]
 
 
-def stokes_check(data):
-    """Exact product identity S_-7 ... S_-1 S_1 ... S_7 == Scal^T."""
+def _stokes_product(data):
+    """S_-7 ... S_-1 S_1 ... S_7, exact.  Right-multiplying by
+    S_k = I + s_k E_ij adds s_k times column i to column j."""
     prod = identity3()
     for k in list(range(-7, 0)) + list(range(1, 8)):
-        prod = _matmul3(prod, data.matrix(k))
+        i, j = STOKES_PATTERN[k]
+        s = _exact(data.s[k])
+        for row in prod:
+            row[j - 1] += s * row[i - 1]
+    return prod
+
+
+def stokes_check(data):
+    """Exact product identity S_-7 ... S_-1 S_1 ... S_7 == Scal^T."""
     target = [[Fraction(SCAL[j][i]) for j in range(3)] for i in range(3)]
-    return prod == target
+    return _stokes_product(data) == target
 
 
 def plane_membership(s7, tol=1e-12):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,7 +6,8 @@ import sys
 
 import pytest
 
-from tau34.cli import certify_point, main, parse_grid
+from tau34 import cli
+from tau34.cli import build_parser, certify_point, main, parse_grid
 
 
 def run(capsys, *argv):
@@ -34,6 +36,73 @@ class TestParsing:
                 parse_grid(bad)
 
 
+def _reference_parser():
+    """Test-only oracle: the common flags added to each subparser in turn."""
+    ap = argparse.ArgumentParser(prog="tau34")
+    sub = ap.add_subparsers(dest="command", required=True)
+    common = {
+        "--config": dict(type=str, default=None),
+        "--eta": dict(type=float, default=1.0),
+        "--mu": dict(type=float, default=0.0),
+        "--nu": dict(type=float, default=0.0),
+        "--grid": dict(type=str, default=None),
+        "--format": dict(dest="format_", choices=("csv", "json"),
+                         default="csv"),
+        "--out": dict(type=str, default=None),
+        "--tol-scale": dict(dest="tol_scale", type=float, default=1.0),
+    }
+    for name in ("sigma", "certify", "surface", "tau", "parametrix",
+                 "critical", "pi"):
+        sp = sub.add_parser(name)
+        for flag, kw in common.items():
+            sp.add_argument(flag, **kw)
+        sp.set_defaults(func=getattr(cli, f"cmd_{name}"))
+    sub.choices["certify"].add_argument("--corrupt-stokes",
+                                        action="store_true")
+    sub.choices["parametrix"].add_argument("--kmax", type=int, default=5)
+    sub.choices["pi"].add_argument("--x-start", type=float, default=-24.0)
+    sub.choices["pi"].add_argument("--x-end", type=float, default=-1.0)
+    sub.choices["pi"].add_argument("--x-count", type=int, default=231)
+    return ap
+
+
+class TestParser:
+    COMMANDS = ("sigma", "certify", "surface", "tau", "parametrix",
+                "critical", "pi")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--config", "run.conf"],
+        ["--eta", "2", "--mu", "-0.1", "--nu", "0.5", "--format", "json",
+         "--out", "o.json", "--tol-scale", "3", "--config", "run.conf"],
+        ["--grid", "0:1:3,0:0.1:2", "--format=csv"],
+    ])
+    def test_namespace_unchanged(self, command, flags):
+        argv = [command] + flags
+        got = vars(build_parser().parse_args(argv))
+        want = vars(_reference_parser().parse_args(argv))
+        assert list(got.items()) == list(want.items())
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--corrupt-stokes", "--eta", "0.5"],
+        ["parametrix", "--kmax", "2"],
+        ["pi", "--x-start", "-30", "--x-end", "-2", "--x-count", "7"],
+    ])
+    def test_subcommand_flags_unchanged(self, argv):
+        assert vars(build_parser().parse_args(argv)) == \
+            vars(_reference_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["nope"], ["sigma", "--bogus"], ["pi", "--eta"],
+        ["sigma", "--format", "xml"], ["tau", "--kmax", "2"],
+        ["certify", "--eta", "x"],
+    ])
+    def test_usage_errors_exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert "usage: tau34" in capsys.readouterr().err
+
+
 class TestSigma:
     def test_point_row(self, capsys):
         code, out, _ = run(capsys, "sigma", "--eta", "1", "--mu", "0",
@@ -48,6 +117,11 @@ class TestSigma:
                            "1.1574074074074074")
         assert code == 0
         assert out.strip().splitlines()[1].endswith("false")
+
+    def test_overflowing_eta_row(self, capsys):
+        code, out, _ = run(capsys, "sigma", "--eta", "1e200")
+        assert code == 0
+        assert out.strip().splitlines()[1] == "9.9999999999999997e+199,0,0,nan,0,false"
 
     def test_empty_grid_exit_two(self, capsys):
         code, _, err = run(capsys, "sigma", "--grid", "0:1:0")

@@ -22,6 +22,14 @@ from tau34.tau_expansion import leading_hamiltonians, tau_leading
 INV_SQRT6 = 1.0 / math.sqrt(6.0)
 
 
+def _polyroots_largest_real_root(mp, b, d):
+    """Test-only oracle: the largest real root of s^3/2 + b s^2 + d by
+    mpmath's complex Durand-Kerner `polyroots`."""
+    roots = mp.polyroots([mp.mpf("0.5"), b, mp.mpf(0), d], maxsteps=200,
+                         extraprec=80)
+    return sorted(r.real for r in roots if abs(r.imag) < 1e-20)[-1]
+
+
 class TestSurface:
     def test_gamma_plus_in_surface(self):
         d = float(surface_discriminant(Params(1.0, 0.0, 125.0 / 108.0)))
@@ -268,6 +276,15 @@ class TestDegenerationConstant:
         for x in (-0.5, -1.0, -3.0):
             c = tritronquee_constant(1.0, "plus", x=x)
             assert abs(c - INV_SQRT6) < 1e-6
+
+    @pytest.mark.parametrize("eta0", np.linspace(0.1, 3.0, 12))
+    def test_newton_root_matches_polyroots(self, eta0, monkeypatch):
+        fast = (tritronquee_constant(eta0, "plus"),
+                tritronquee_constant(-eta0, "minus"))
+        monkeypatch.setattr(cr, "_largest_real_root",
+                            _polyroots_largest_real_root)
+        assert fast == (tritronquee_constant(eta0, "plus"),
+                        tritronquee_constant(-eta0, "minus"))
 
 
 class TestPIRHPData:

@@ -344,6 +344,13 @@ class TestDomainMembership:
         rep = in_domain_D(Params(-1.0, 0.0, 0.0))
         assert not rep.in_D
 
+    @pytest.mark.parametrize("eta", [1e103, 1e200])
+    def test_overflowing_scale_is_reported(self, eta):
+        # the reference root 2.5*eta is cubed before the continuation starts
+        rep = in_domain_D(Params(eta, 0.0, 0.0))
+        assert not rep.in_D and math.isnan(rep.sigma)
+        assert "overflow" in rep.reason
+
 
 class TestSigmaJets:
     def test_first_derivative_reference(self):

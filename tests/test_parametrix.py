@@ -9,15 +9,33 @@ from hypothesis import strategies as st
 
 from tau34.param_domain import Params
 from tau34.parametrix import (JUMP_ALPHA, JUMP_BETA, REFLECT_LEFT,
-                              REFLECT_RIGHT, STOKES_PLANES, TRUNCATED_S7,
-                              AiryCoeffs, GlobalParametrix, P_k_matrix,
-                              StokesData, airy_series, fhat, global_M,
-                              global_M_side, jump_residuals,
-                              normalization_slope, plane_membership,
-                              residue_W1, stokes_check)
+                              REFLECT_RIGHT, SCAL, STOKES_PATTERN,
+                              STOKES_PLANES, TRUNCATED_S7, AiryCoeffs,
+                              GlobalParametrix, P_k_matrix, StokesData,
+                              _exact, _matmul3, _stokes_product, airy_series,
+                              fhat, global_M, global_M_side, identity3,
+                              jump_residuals, normalization_slope,
+                              plane_membership, residue_W1, stokes_check)
 from tau34.spectral_curve import (OnBranchPoint, _cut_side_roots, build_curve,
                                   g_of_u, uniformize_all)
 from tau34.tau_expansion import h1_first_correction
+
+
+def _matmul_stokes_product(data):
+    """Test-only oracle: S_-7 ... S_-1 S_1 ... S_7 as 14 full exact 3x3
+    matrix products."""
+    prod = identity3()
+    for k in list(range(-7, 0)) + list(range(1, 8)):
+        i, j = STOKES_PATTERN[k]
+        m = identity3()
+        m[i - 1][j - 1] += _exact(data.s[k])
+        prod = _matmul3(prod, m)
+    return prod
+
+
+def _oracle_check(data):
+    target = [[Fraction(SCAL[j][i]) for j in range(3)] for i in range(3)]
+    return _matmul_stokes_product(data) == target
 
 
 class TestStokes:
@@ -44,6 +62,30 @@ class TestStokes:
         s7 = tuple(p if isinstance(p, int) else p[1] * free[p[0]] + p[2]
                    for p in STOKES_PLANES[label])
         assert stokes_check(StokesData.from_seven(s7))
+
+    def test_column_operations_match_matrix_products(self):
+        corrupt = StokesData.truncated()
+        corrupt = StokesData(s={**corrupt.s, 5: corrupt.s[5] + 1})
+        cases = [StokesData.truncated(), corrupt,
+                 StokesData.from_seven((0,) * 7)]
+        for label, pattern in STOKES_PLANES.items():
+            free = {"x": label - 3, "y": 2 - label}
+            cases.append(StokesData.from_seven(tuple(
+                p if isinstance(p, int) else p[1] * free[p[0]] + p[2]
+                for p in pattern)))
+        for data in cases:
+            assert _stokes_product(data) == _matmul_stokes_product(data)
+            assert stokes_check(data) == _oracle_check(data)
+        assert _oracle_check(cases[0]) and not _oracle_check(corrupt)
+
+    @given(st.lists(st.one_of(
+        st.integers(-4, 4),
+        st.fractions(min_value=-3, max_value=3, max_denominator=7)),
+        min_size=7, max_size=7))
+    @settings(max_examples=100, deadline=None)
+    def test_column_operations_random(self, s7):
+        data = StokesData.from_seven(tuple(s7))
+        assert _stokes_product(data) == _matmul_stokes_product(data)
 
     def test_membership_truncated(self):
         assert plane_membership(TRUNCATED_S7) == {0, 1}
