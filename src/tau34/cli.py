@@ -187,11 +187,13 @@ def certify_point(pt, tol_scale, stokes_ok=None):
     boundary = not rep.in_D
     sigma = rep.sigma if rep.in_D else None
     if boundary:
-        if mu == 0.0 and eta > 0 and abs(nu - 125.0 * eta**3 / 108.0) \
-                < 1e-9 * (1.0 + abs(nu)):
+        # eta * eta * eta overflows to inf where eta**3 would raise
+        if mu == 0.0 and eta > 0 and abs(nu - 125.0 * eta * eta * eta
+                                          / 108.0) < 1e-9 * (1.0 + abs(nu)):
             sigma = 5.0 * eta / 3.0
         else:
-            add("domain", 1.0, 0.0, ok=False)
+            add("domain:overflow" if "overflow" in rep.reason else "domain",
+                1.0, 0.0, ok=False)
             return records
     curve = sc.build_curve(p, sigma=sigma)
 
@@ -218,12 +220,19 @@ def certify_point(pt, tol_scale, stokes_ok=None):
     add("stokes-constraint", 0.0 if stokes_ok else 1.0, 0.0, ok=stokes_ok)
 
     if not boundary:
-        grad, closed = te.dlogtau_consistency(p, sigma=sigma)
         tl = te.tau_leading(p, sigma=sigma)
         scale = 1.0 + abs(tl.varpi0)
-        add("dlogtau-gradients", max(map(abs, grad)) / scale,
+        try:
+            grad, closed = te.dlogtau_consistency(p, sigma=sigma)
+            suffix = ""
+        except pd.BoundaryReached:
+            # a finite-difference neighbour lies past the critical surface;
+            # nan fails both rows
+            grad = closed = (math.nan,)
+            suffix = ":neighbour-outside-D"
+        add("dlogtau-gradients" + suffix, max(map(abs, grad)) / scale,
             1e-6 * tol_scale)
-        add("dlogtau-closedness", max(map(abs, closed)) / scale,
+        add("dlogtau-closedness" + suffix, max(map(abs, closed)) / scale,
             1e-6 * tol_scale)
         flows = te.flow_compatibility(p, sigma=sigma)
         add("flow-compatibility", max(map(abs, flows)), 1e-10 * tol_scale)

@@ -43,9 +43,10 @@ def surface_discriminant(p):
     D is the essential factor of the sigma-discriminant of the cleared
     quintic (the full discriminant equals 1660753125 * mu^2 * D).  Note
     every monomial carries mu or nu, so D vanishes identically on the
-    mu = nu = 0 ray: there the *other* roots of the quintic collide, and
-    membership of the distinguished root in D is decided by continuation,
-    not by D alone.
+    mu = nu = 0 ray: there the *other* roots of the quintic collide.  D
+    vanishes wherever any two roots collide, so it does not decide
+    membership in the domain D alone; that is nu < nu_critical(eta, mu)
+    (`param_domain.in_domain_D`).
     """
     e, m, n = p.eta, p.mu, p.nu
     m2 = m * m
@@ -81,9 +82,12 @@ def surface_param(sigma, eta):
 
 
 def nu_critical(eta, mu):
-    """Critical nu above which (eta, mu, nu) leaves the domain.
+    """Critical nu of the domain D: (eta, mu, nu) is in D iff nu < this.
 
-    Solves the surface parametrization for |mu| (monotone in sigma on
+    At nu = nu_critical the distinguished root (the largest real root
+    above max(5 eta/3, 0) of the cleared quintic) collides with another
+    root; above it no real root is left above that floor.  Solves the
+    surface parametrization for |mu| (monotone in sigma on
     sigma > max(5 eta/3, 0)) and returns nu(sigma).
     """
     from scipy.optimize import brentq

@@ -4,19 +4,18 @@ The degree-5 equation
 
     P(s; eta, mu, nu) = nu + s^3/2 - (5/4)*eta*s^2 + 6*mu^2/(5*eta - 3*s)^2 = 0
 
-has a distinguished simple root s(eta, mu, nu) fixed by continuation from
-s = 5*eta/2 on the reference ray (eta > 0, mu = nu = 0).  The parameter
-region D where this root stays simple is the natural domain of every other
-module; its boundary is the critical surface handled in `critical`.
+has a distinguished root s(eta, mu, nu): the largest real root above
+max(5*eta/3, 0) of the cleared quintic (5*eta - 3*s)^2 * P = 0.  The
+parameter region D is where that root exists and is simple; it is the
+natural domain of every other module.  Its boundary is the critical surface
+nu = nu_critical(eta, mu) handled in `critical`, where the root collides
+with another one.
 
-This module solves the equation (predictor-corrector continuation), manages
-the (a, b, c) <-> (eta, mu, nu) coordinate systems of the uniformized
-spectral curve, and produces derivative towers of the root by implicit
+P is strictly convex above max(5*eta/3, 0), so this module finds the root
+by Newton's method started to the right of it; it also manages the
+(a, b, c) <-> (eta, mu, nu) coordinate systems of the uniformized spectral
+curve, and produces derivative towers of the root by implicit
 differentiation.
-
-The continuation runs on plain floats: a numpy call on a 3-vector costs more
-than a step's few float operations.  So the predictor's dot product is a
-written-out sum; it may round unlike a BLAS dot, which Newton absorbs.
 """
 import math
 from dataclasses import dataclass
@@ -24,21 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class BoundaryReached(RuntimeError):
-    """Continuation hit a multiple root (the critical surface)."""
-
-
-class PolePassed(RuntimeError):
-    """5*eta - 3*s crossed zero along the continuation path."""
-
-
 class DomainError(ValueError):
     """Input outside the documented parameter domain."""
+
+
+class BoundaryReached(DomainError):
+    """No simple root above max(5 eta/3, 0): the point is outside D."""
 
 
 # scale-aware margin below which the root is declared multiple
 BOUNDARY_MARGIN = 1e-8
 NEWTON_TOL = 1e-13
+# from the start below, Newton needs about log2(start / (root gap)) steps
+NEWTON_MAXIT = 100
 
 
 def _is_multiple(sigma, p, dP):
@@ -79,7 +76,6 @@ class SigmaSolution:
     sigma: float
     dP_dsigma: float
     residual: float
-    path_ok: bool
 
 
 @dataclass(frozen=True)
@@ -94,8 +90,6 @@ class DomainReport:
     in_D: bool
     sigma: float
     margin: float
-    path_ok: bool
-    sign_ok: bool
     reason: str
 
 
@@ -108,116 +102,95 @@ class SigmaJets:
     deta: float
 
 
-def _eval_P(sigma, eta, mu, nu):
-    """P and dP/dsigma on plain floats (see `eval_P`)."""
-    den = 5.0 * eta - 3.0 * sigma
-    if mu == 0.0:
-        pole = 0.0
-        dpole = 0.0
-    else:
-        if abs(den) < 1e-12 * (1.0 + abs(eta) + abs(sigma)):
-            raise PolePassed(f"5*eta - 3*sigma = {den:g} is at the pole")
-        pole = 6.0 * mu**2 / den**2
-        dpole = 36.0 * mu**2 / den**3
-    value = nu + 0.5 * sigma**3 - 1.25 * eta * sigma**2 + pole
-    d_dsigma = 1.5 * sigma**2 - 2.5 * eta * sigma + dpole
-    return value, d_dsigma
-
-
 def eval_P(sigma, p):
     """P(sigma; p) and dP/dsigma, exactly as written (pole term included)."""
-    return _eval_P(sigma, p.eta, p.mu, p.nu)
-
-
-def _P_eta_mu(sigma, eta, mu):
-    """(dP/deta, dP/dmu) at fixed sigma on plain floats; dP/dnu = 1."""
-    if mu == 0.0:
-        return -1.25 * sigma**2, 0.0
-    den = 5.0 * eta - 3.0 * sigma
-    return -1.25 * sigma**2 - 60.0 * mu**2 / den**3, 12.0 * mu / den**2
+    eta, mu = p.eta, p.mu
+    value = p.nu + 0.5 * sigma**3 - 1.25 * eta * sigma**2
+    d_dsigma = 1.5 * sigma**2 - 2.5 * eta * sigma
+    if mu != 0.0:
+        den = 5.0 * eta - 3.0 * sigma
+        value += 6.0 * mu**2 / den**2
+        d_dsigma += 36.0 * mu**2 / den**3
+    return value, d_dsigma
 
 
 def _param_gradient(sigma, p):
     """(dP/deta, dP/dmu, dP/dnu) at fixed sigma."""
-    return np.array([*_P_eta_mu(sigma, p.eta, p.mu), 1.0])
+    if p.mu == 0.0:
+        return np.array([-1.25 * sigma**2, 0.0, 1.0])
+    den = 5.0 * p.eta - 3.0 * sigma
+    return np.array([-1.25 * sigma**2 - 60.0 * p.mu**2 / den**3,
+                     12.0 * p.mu / den**2, 1.0])
 
 
-def _newton(sigma, eta, mu, nu, tol=NEWTON_TOL, maxit=5):
-    """Newton iterations on P; returns (sigma, value, dP) or None."""
+def _newton(sigma, p):
+    """Newton iterations on P from the right of its largest root above
+    max(5 eta/3, 0); returns (sigma, value, dP) or None.
+
+    On s > max(5 eta/3, 0), P is strictly convex:
+
+        P_ss = 3 s - 5 eta/2 + 324 mu^2/(5 eta - 3 s)^4 > 0.
+
+    So from a start where P >= 0 and P_s > 0 the iterates decrease
+    monotonically onto the largest root; they stop once rounding makes the
+    step negligible or negative.  Where there is no root they pass the
+    minimum of P, and P_s turns non-positive.
+    """
     try:
-        for _ in range(maxit):
-            value, dP = _eval_P(sigma, eta, mu, nu)
-            if abs(dP) < BOUNDARY_MARGIN * (1.0 + sigma**2):
+        for _ in range(NEWTON_MAXIT):
+            value, dP = eval_P(sigma, p)
+            if dP < BOUNDARY_MARGIN * (1.0 + sigma**2):
                 return None
             step = value / dP
             sigma -= step
-            if abs(step) < 1e-16 * (1.0 + abs(sigma)):
+            if step < 1e-16 * (1.0 + abs(sigma)):
                 break
-        value, dP = _eval_P(sigma, eta, mu, nu)
-    except (PolePassed, OverflowError):     # overflow: far out of scale
+        else:
+            return None
+        value, dP = eval_P(sigma, p)
+    except ZeroDivisionError:       # landed on the pole 5 eta = 3 sigma
         return None
-    if abs(value) > tol * (1.0 + abs(sigma) ** 3):
+    if abs(value) > NEWTON_TOL * (1.0 + abs(sigma) ** 3):
         return None
     return sigma, value, dP
 
 
-def solve_sigma(p, reference=None):
-    """Continue the root from the reference ray to `p`.
+def _start(p):
+    """A point right of every root of P above max(5 eta/3, 0), where P >= 0
+    and P_s > 0.
 
-    Straight-segment predictor-corrector (Euler + Newton) with step halving.
-    Raises BoundaryReached when |dP/ds| collapses (root collision) and
-    PolePassed when 5*eta - 3*s changes sign along the path.
+    At s >= 5|eta|/2 + (2|nu|)^(1/3) the cubic part of P is >= 0, and at
+    s >= 5|eta|/2 + (72 mu^2)^(1/5) the cubic part of P_s, at least s^2/2,
+    exceeds the pole part, at most 36 mu^2/s^3; the pole part of P is >= 0.
     """
-    # mu < 0 handled by the symmetry s(eta, mu, nu) = s(eta, -mu, nu)
-    if p.mu < 0.0:
-        p = Params(p.eta, -p.mu, p.nu)
-    if reference is None:
-        reference = Params(max(p.eta, 1.0), 0.0, 0.0)
-    e0, m0, n0 = reference.eta, reference.mu, reference.nu
-    de, dm, dn = p.eta - e0, p.mu - m0, p.nu - n0
-    sigma = 2.5 * e0
-    # P_s and (P_eta, P_mu) at (sigma, t); the corrector evaluated P_s
-    dP = eval_P(sigma, reference)[1]
-    P_eta, P_mu = _P_eta_mu(sigma, e0, m0)
-    t = 0.0
-    dt = 0.1
-    pole_sign = 5.0 * e0 - 3.0 * sigma
-    while t < 1.0:
-        dt = min(dt, 1.0 - t)
-        s = t + dt
-        e, m, n = e0 + s * de, m0 + s * dm, n0 + s * dn
-        # Euler predictor: ds = -(P_eta deta + P_mu dmu + P_nu dnu)/P_s
-        pred = sigma - dt * (P_eta * de + P_mu * dm + dn) / dP
-        got = _newton(pred, e, m, n)
-        # guard against hopping onto a different branch across a pinch:
-        # the D-root satisfies sigma > max(5 eta/3, 0) and its margin cannot
-        # collapse by an order of magnitude within one accepted step.
-        bad = got is None
-        if not bad:
-            s_new, _, dP_new = got
-            scale = 1.0 + s_new * s_new
-            bad = (s_new < max(5.0 * e / 3.0, 0.0) - 1e-9 * scale
-                   or abs(dP_new) < BOUNDARY_MARGIN * scale
-                   or abs(dP_new) < 0.1 * abs(dP) and dt > 1e-6)
-        if bad:
-            if dt > 1e-10:
-                dt /= 2.0
-                continue
+    start = 1.5 * (2.5 * abs(p.eta) + (2.0 * abs(p.nu)) ** (1.0 / 3.0)
+                   + 72.0**0.2 * abs(p.mu) ** 0.4)
+    if not math.isfinite(start):
+        raise OverflowError("the Newton start overflows")
+    return start
+
+
+def solve_sigma(p):
+    """The distinguished root: the largest real root of P above
+    max(5 eta/3, 0), which is that of the cleared quintic.
+
+    Raises BoundaryReached (a DomainError) when that root does not exist or
+    is not simple, i.e. when p is outside D, and DomainError when P
+    overflows at the scale of p.
+    """
+    try:
+        got = _newton(_start(p), p)
+        if got is None or not got[0] > max(5.0 * p.eta / 3.0, 0.0):
             raise BoundaryReached(
-                f"root became multiple near t={t:.6f} at {(e, m, n)}")
-        sigma, _, dP = got
-        new_sign = 5.0 * e - 3.0 * sigma
-        if p.mu != 0.0 and (new_sign == 0.0 or (new_sign > 0) != (pole_sign > 0)):
-            raise PolePassed(f"5*eta - 3*sigma changed sign near t={s:.6f}")
-        pole_sign = new_sign
-        t = s
-        P_eta, P_mu = _P_eta_mu(sigma, e, m)
-        dt = min(dt * 2.0, 0.1)
-    value, dP = eval_P(sigma, p)
-    if _is_multiple(sigma, p, dP):
-        raise BoundaryReached("target point lies on the critical surface")
-    return SigmaSolution(sigma=sigma, dP_dsigma=dP, residual=abs(value),
-                         path_ok=True)
+                "no real root above max(5 eta/3, 0): the point is on or "
+                "past the critical surface")
+        sigma, value, dP = got
+        if _is_multiple(sigma, p, dP):
+            raise BoundaryReached("the root is multiple: the point lies on "
+                                  "the critical surface")
+    except OverflowError:
+        raise DomainError("branch equation overflows at this scale") from None
+    return SigmaSolution(sigma=sigma, dP_dsigma=dP, residual=abs(value))
 
 
 def viete_roots(b, c):
@@ -263,7 +236,7 @@ def inverse_abc(p, sigma=None):
     """Numeric inverse of map_abc on the domain (a > 0 convention).
 
     a = sqrt(s/2), b = 2 s - 5 eta/3, c = -3 mu/(5 eta - 3 s) with s the
-    continued root; the a < 0 mirror corresponds to (a, c) -> (-a, -c).
+    distinguished root; the a < 0 mirror corresponds to (a, c) -> (-a, -c).
     """
     if sigma is None:
         sigma = solve_sigma(p).sigma
@@ -277,17 +250,9 @@ def in_domain_D(p):
     """Domain membership report; never raises."""
     try:
         sol = solve_sigma(p)
-    except (BoundaryReached, PolePassed) as exc:
-        return DomainReport(False, math.nan, 0.0, False, False, str(exc))
-    except OverflowError:
-        # |eta| above ~1e102: the reference root 2.5*eta cannot be cubed
-        return DomainReport(False, math.nan, 0.0, False, False,
-                            "branch equation overflows at this scale")
-    sign_ok = sol.sigma > max(5.0 * p.eta / 3.0, 0.0)
-    in_d = sol.path_ok and sign_ok
-    reason = "" if in_d else "sign condition sigma > max(5 eta/3, 0) failed"
-    return DomainReport(in_d, sol.sigma, abs(sol.dP_dsigma), sol.path_ok,
-                        sign_ok, reason)
+    except DomainError as exc:
+        return DomainReport(False, math.nan, 0.0, str(exc))
+    return DomainReport(True, sol.sigma, abs(sol.dP_dsigma), "")
 
 
 def _P_sigma_derivatives(sigma, p, n):

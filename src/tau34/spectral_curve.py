@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from . import _kernels
 from .param_domain import Params, DomainError, solve_sigma
@@ -94,6 +93,9 @@ def build_curve(p, sigma=None):
                   (5.0 / 3.0) * eta - 2.0 * sigma,
                   0.0,
                   1.0])
+    # numpy imports np.polynomial on first use, so the commands that build
+    # no curve (sigma, tau) never load it
+    npoly = np.polynomial.polynomial
     g = npoly.polyint(npoly.polymul(Y, npoly.polyder(lam)))
     g[0] = -2.0 * c * a**4
     alpha = float(npoly.polyval(-a, lam).real)
@@ -168,15 +170,15 @@ def uniformize(curve, lam, sheet, side=None):
 
 
 def lam_of_u(curve, u):
-    return npoly.polyval(u, curve.lam_coeffs)
+    return np.polynomial.polynomial.polyval(u, curve.lam_coeffs)
 
 
 def Y_of_u(curve, u):
-    return npoly.polyval(u, curve.Y_coeffs)
+    return np.polynomial.polynomial.polyval(u, curve.Y_coeffs)
 
 
 def g_of_u(curve, u):
-    return npoly.polyval(u, curve.g_coeffs)
+    return np.polynomial.polynomial.polyval(u, curve.g_coeffs)
 
 
 def g_sheet(curve, lam, sheet, side=None):
@@ -405,13 +407,13 @@ def check_g_asymptotics(curve, radii=None, arg_upper=0.9, arg_lower=-0.9):
         t = lam[h] ** (1.0 / 3.0)
         for sheet in (1, 2, 3):
             x = 1.0 / (OMEGA ** (perm[sheet - 1] - 1) * t)
-            u = npoly.polyval(x, ser.root) / x
+            u = np.polynomial.polynomial.polyval(x, ser.root) / x
             if np.any(np.abs(roots[sheet - 1, h] - u)
                       > ROUNDING_ULPS * EPS * np.abs(u)):
                 raise AsymptoticsError(
                     f"sheet {sheet} root is not U(tau) in the {half} "
                     "half-plane")
-            diffs = np.abs(x * npoly.polyval(x, ser.tail))
+            diffs = np.abs(x * np.polynomial.polynomial.polyval(x, ser.tail))
             slope = np.polyfit(np.log(radii), np.log(diffs), 1)[0]
             report[(sheet, half)] = (float(slope), float(diffs.max()))
     return report

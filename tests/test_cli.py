@@ -5,8 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tau34 import cli
+from tau34 import param_domain as pd
 from tau34.cli import build_parser, certify_point, main, parse_grid
 
 
@@ -123,6 +126,13 @@ class TestSigma:
         assert code == 0
         assert out.strip().splitlines()[1] == "9.9999999999999997e+199,0,0,nan,0,false"
 
+    def test_eta_near_float_max_is_out_of_domain(self, capsys):
+        # 2.5 eta, and so the Newton start, is inf
+        code, out, err = run(capsys, "sigma", "--eta", "1e308")
+        assert code == 0
+        assert out.strip().splitlines()[1] == "1e+308,0,0,nan,0,false"
+        assert "Traceback" not in err
+
     def test_empty_grid_exit_two(self, capsys):
         code, _, err = run(capsys, "sigma", "--grid", "0:1:0")
         assert code == 2
@@ -166,15 +176,39 @@ class TestCertify:
         recs = certify_point((1.1829, 0.1138, 1.1306), 1.0)
         assert [r["check"] for r in recs if not r["passed"]] == []
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "open defect: in_domain_D accepts these points (sigma = 0.66239, "
-        "margin 1.92), but the fixed-ray contours fail: mu = +0.75 fails "
-        "rising-beta (0.0432) and both beta lenses (0.0311), mu = -0.75 "
-        "rising-alpha (0.182) and both alpha lenses"))
-    @pytest.mark.parametrize("mu", [0.75, -0.75])
-    def test_domain_and_lensing_agree(self, mu):
-        recs = certify_point((0.0, mu, -1.0), 1.0)
+    # (0, +-0.75, -1) and (-0.15, +-0.6, -0.75) have two simple roots above
+    # max(5 eta/3, 0); with the smaller one lensing fails
+    @pytest.mark.parametrize("pt", [(0.0, 0.75, -1.0), (0.0, -0.75, -1.0),
+                                    (-0.15, 0.6, -0.75),
+                                    (-0.15, -0.6, -0.75)])
+    def test_domain_and_lensing_agree(self, pt):
+        recs = certify_point(pt, 1.0)
         assert [r["check"] for r in recs if not r["passed"]] == []
+
+    @pytest.mark.parametrize("eta, mu", [(1.0, 0.05), (1.0, 0.0), (0.5, 0.2)])
+    def test_near_surface_fails_dlogtau_without_raising(self, eta, mu):
+        # the +-h finite-difference neighbours of dlogtau_consistency lie
+        # past the critical surface
+        from tau34.critical import nu_critical
+        nc = nu_critical(eta, mu)
+        recs = certify_point((eta, mu, nc - 1e-6 * (1.0 + abs(nc))), 1.0)
+        failed = {r["check"] for r in recs if not r["passed"]}
+        assert {"dlogtau-gradients:neighbour-outside-D",
+                "dlogtau-closedness:neighbour-outside-D"} <= failed
+        assert "chi-identity" in {r["check"] for r in recs}
+
+    def test_overflowing_eta_is_out_of_domain(self, capsys):
+        code, out, err = run(capsys, "certify", "--eta", "1e200")
+        assert code == 1
+        assert ",domain:overflow,1,0,false" in out
+        assert "Traceback" not in err
+
+    @given(st.floats(-3.0, 3.0), st.floats(-1.0, 1.0), st.floats(-5.0, 5.0))
+    @settings(max_examples=40, deadline=None)
+    def test_points_in_domain_return_records(self, eta, mu, nu):
+        assume(pd.in_domain_D(pd.Params(eta, mu, nu)).in_D)
+        recs = certify_point((eta, mu, nu), 1.0)
+        assert "chi-identity" in {r["check"] for r in recs}
 
     def test_interior_point_solves_sigma_seven_times(self, monkeypatch):
         # in_domain_D at the point, then dlogtau_consistency's six
@@ -232,6 +266,18 @@ class TestCertify:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
+    def test_sigma_and_tau_do_not_import_numpy_polynomial(self, tmp_path):
+        # only building a curve needs it (peak RSS of the sigma sweep)
+        code = ("import sys; from tau34.cli import main; "
+                "[main([cmd, '--mu=0.05', '--out', sys.argv[1]]) "
+                "for cmd in ('sigma', 'tau')]; "
+                "print('numpy.polynomial' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code,
+                              str(tmp_path / "out.csv")], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
 
 class TestOutputs:
     def test_deterministic_files(self, tmp_path, capsys):
@@ -285,6 +331,12 @@ class TestConfigFile:
 
 
 class TestOther:
+    @pytest.mark.parametrize("command", ["tau", "parametrix"])
+    def test_point_outside_domain_exit_two(self, capsys, command):
+        code, out, err = run(capsys, command, "--nu", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("tau34: error: no real root above")
+
     def test_tau_columns(self, capsys):
         code, out, _ = run(capsys, "tau", "--eta", "1")
         assert code == 0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tau34.param_domain import (BOUNDARY_MARGIN, NEWTON_TOL, ABCoords,
                                 BoundaryReached, DomainError, Params,
-                                PolePassed, SigmaSolution, _is_multiple,
+                                SigmaSolution, _is_multiple,
                                 _param_gradient, eval_P, in_domain_D,
                                 inverse_abc, jacobian_abc, map_abc,
                                 sigma_jets, solve_sigma, viete_roots)
@@ -36,6 +36,12 @@ class TestEvalP:
             assert d == pytest.approx(25.0 / 8.0 * eta**2, rel=1e-14)
 
 
+# points where the straight-line continuation from (max(eta, 1), 0, 0) ends
+# on a smaller simple root than the largest one above max(5 eta/3, 0)
+WRONG_ROOT = [(0.0, 0.75, -1.0), (0.0, -0.75, -1.0), (-0.15, 0.6, -0.75),
+              (-0.15, -0.6, -0.75)]
+
+
 class TestSolveSigma:
     def test_reference_values(self):
         assert solve_sigma(Params(1.0, 0.0, 0.0)).sigma == 2.5
@@ -45,28 +51,42 @@ class TestSolveSigma:
         with pytest.raises(BoundaryReached):
             solve_sigma(Params(1.0, 0.0, 125.0 / 108.0))
 
+    def test_boundary_is_a_domain_error(self):
+        assert issubclass(BoundaryReached, DomainError)
+
     def test_mu_symmetry(self):
         sp = solve_sigma(Params(1.0, 0.08, -0.3)).sigma
         sm = solve_sigma(Params(1.0, -0.08, -0.3)).sigma
         assert sp == sm
 
     def test_path_independence(self):
+        # the continuation oracle meets the same root from either reference
         target = Params(1.3, 0.2, -0.4)
         s_direct = solve_sigma(target).sigma
-        s_via = solve_sigma(target, reference=Params(2.0, 0.0, 0.0)).sigma
-        assert abs(s_direct - s_via) < 1e-10
-        s_via2 = solve_sigma(target, reference=Params(0.7, 0.0, 0.0)).sigma
-        assert abs(s_direct - s_via2) < 1e-10
+        for reference in (Params(2.0, 0.0, 0.0), Params(0.7, 0.0, 0.0)):
+            s_via = _reference_solve_sigma(target, reference).sigma
+            assert abs(s_direct - s_via) < 1e-10
 
     def test_residual_small(self, rng):
         from conftest import random_domain_points
         for p in random_domain_points(rng, 10):
             sol = solve_sigma(p)
             assert sol.residual <= 1e-13 * (1.0 + abs(sol.sigma) ** 3)
-            assert sol.path_ok
+
+    @pytest.mark.parametrize("pt", WRONG_ROOT)
+    def test_largest_root_where_the_continuation_is_wrong(self, pt):
+        # both are simple roots of P above max(5 eta/3, 0); D's is the
+        # larger one, with which every lensing contour passes
+        p = Params(*pt)
+        sol = solve_sigma(p)
+        other = _reference_solve_sigma(p).sigma
+        assert other < sol.sigma - 0.1
+        assert abs(eval_P(other, p)[0]) < 1e-12
+        assert other > max(5.0 * p.eta / 3.0, 0.0)
 
 
-def _reference_newton(sigma, p, tol=NEWTON_TOL, maxit=5):
+def _reference_newton(sigma, p, maxit=5):
+    """Plain Newton corrector: at most five steps from either side."""
     try:
         for _ in range(maxit):
             value, dP = eval_P(sigma, p)
@@ -77,16 +97,17 @@ def _reference_newton(sigma, p, tol=NEWTON_TOL, maxit=5):
             if abs(step) < 1e-16 * (1.0 + abs(sigma)):
                 break
         value, dP = eval_P(sigma, p)
-    except PolePassed:
+    except ZeroDivisionError:
         return None
-    if abs(value) > tol * (1.0 + abs(sigma) ** 3):
+    if abs(value) > NEWTON_TOL * (1.0 + abs(sigma) ** 3):
         return None
     return sigma, value, dP
 
 
 def _reference_solve_sigma(p, reference=None):
-    """Test-only oracle: the continuation on numpy 3-vectors and `Params`
-    path points, with the predictor's dot product taken by numpy."""
+    """Test-only oracle: continue the root 2.5 eta of the reference ray along
+    the straight segment to p (Euler predictor, Newton corrector, step
+    halving down to 1e-10); BoundaryReached where the root collides."""
     if p.mu < 0.0:
         p = Params(p.eta, -p.mu, p.nu)
     if reference is None:
@@ -96,7 +117,6 @@ def _reference_solve_sigma(p, reference=None):
     target = np.array([p.eta, p.mu, p.nu])
     t = 0.0
     dt = 0.1
-    pole_sign = 5.0 * reference.eta - 3.0 * sigma
     margin = abs(eval_P(sigma, reference)[1])
     while t < 1.0:
         dt = min(dt, 1.0 - t)
@@ -110,6 +130,7 @@ def _reference_solve_sigma(p, reference=None):
         if not bad:
             s_new, _, dP_new = got
             scale = 1.0 + s_new * s_new
+            # guard against hopping onto another branch across a pinch
             bad = (s_new < max(5.0 * pt.eta / 3.0, 0.0) - 1e-9 * scale
                    or abs(dP_new) < BOUNDARY_MARGIN * scale
                    or abs(dP_new) < 0.1 * margin and dt > 1e-6)
@@ -120,71 +141,71 @@ def _reference_solve_sigma(p, reference=None):
             raise BoundaryReached(f"root became multiple near t={t:.6f}")
         sigma = got[0]
         margin = abs(got[2])
-        new_sign = 5.0 * pt.eta - 3.0 * sigma
-        if p.mu != 0.0 and (new_sign == 0.0
-                            or (new_sign > 0) != (pole_sign > 0)):
-            raise PolePassed(f"5*eta - 3*sigma changed sign near t={t:.6f}")
-        pole_sign = new_sign
         t += dt
         dt = min(dt * 2.0, 0.1)
     value, dP = eval_P(sigma, p)
     if _is_multiple(sigma, p, dP):
         raise BoundaryReached("target point lies on the critical surface")
-    return SigmaSolution(sigma=sigma, dP_dsigma=dP, residual=abs(value),
-                         path_ok=True)
+    return SigmaSolution(sigma=sigma, dP_dsigma=dP, residual=abs(value))
 
 
-def _outcome(solve, p, reference=None):
-    try:
-        return solve(p, reference=reference)
-    except (BoundaryReached, PolePassed) as exc:
-        return type(exc)
+# the 41 x 21 x 41 grid over eta in [-3, 3], mu in [-1, 1], nu in [-5, 5]
+GRID_AXES = (np.linspace(-3.0, 3.0, 41), np.linspace(-1.0, 1.0, 21),
+             np.linspace(-5.0, 5.0, 41))
+# every fourth grid line per axis (11 x 6 x 11 points), then the
+# continuation's wrong-root points
+THIN_GRID = [Params(*map(float, pt))
+             for pt in itertools.product(*(a[::4] for a in GRID_AXES))] \
+    + [Params(*pt) for pt in WRONG_ROOT]
+
+
+def _is_wrong_root_point(p):
+    return any(all(math.isclose(a, b, abs_tol=1e-12)
+                   for a, b in zip((p.eta, p.mu, p.nu), pt))
+               for pt in WRONG_ROOT)
 
 
 # the 5 x 4 x 4 smoke axes of the benchmark's sigma sweep
-SWEEP_SMOKE = list(itertools.product(np.linspace(-3.0, 3.0, 5),
-                                     np.linspace(-1.0, 1.0, 4),
-                                     np.linspace(-5.0, 5.0, 4)))
+SWEEP_SMOKE = [Params(*map(float, pt))
+               for pt in itertools.product(np.linspace(-3.0, 3.0, 5),
+                                           np.linspace(-1.0, 1.0, 4),
+                                           np.linspace(-5.0, 5.0, 4))]
 
 
 class TestAgainstReference:
-    """The float continuation against the numpy-vector oracle.
+    """The largest root against the straight-line continuation oracle.
 
-    The two round every path point and P evaluation alike; only the
-    predictor's dot may round differently (BLAS against a written-out sum),
-    which the Newton corrector absorbs, so results agree to a few ulps.
+    Wherever the continuation reaches the point, both end on a root whose
+    Newton residual is at most NEWTON_TOL (1 + |s|^3), so they differ by at
+    most twice that over |P_s|.  The WRONG_ROOT points are the exception:
+    there the continuation ends on a smaller simple root.
     """
 
     @staticmethod
     def _check(p, reference=None):
-        got = _outcome(solve_sigma, p, reference)
-        want = _outcome(_reference_solve_sigma, p, reference)
-        if isinstance(want, type):
-            assert got is want, p
-            return want
-        assert isinstance(got, SigmaSolution), p
-        assert got.path_ok == want.path_ok
-        for name in ("sigma", "dP_dsigma", "residual"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert abs(a - b) <= 4 * math.ulp(max(abs(a), abs(b))), (p, name)
+        try:
+            want = _reference_solve_sigma(p, reference).sigma
+        except BoundaryReached:
+            return BoundaryReached
+        rep = in_domain_D(p)
+        bound = 2.0 * NEWTON_TOL * (1.0 + abs(rep.sigma) ** 3) / rep.margin
+        assert rep.in_D and abs(rep.sigma - want) <= bound, (p, rep, want)
         return SigmaSolution
 
     def test_sweep_smoke_axes(self):
-        outcomes = [self._check(Params(*map(float, pt)))
-                    for pt in SWEEP_SMOKE]
+        outcomes = [self._check(p) for p in SWEEP_SMOKE]
         n_out = outcomes.count(BoundaryReached)
         assert 0 < n_out < len(outcomes)
+
+    def test_same_root_where_the_continuation_succeeds(self):
+        outcomes = [self._check(p) for p in THIN_GRID
+                    if not _is_wrong_root_point(p)]
+        assert outcomes.count(SigmaSolution) > 100
 
     def test_gamma_plus_raises(self):
         p = Params(1.0, 0.0, 125.0 / 108.0)
         assert self._check(p) is BoundaryReached
-
-    def test_pole_passed(self):
-        # The sign test after an accepted step did not fire in 40,000
-        # random paths (the sigma > 5 eta/3 guard rejects those steps
-        # first), so the pole is met at the reference point itself.
-        p = Params(1.0, 0.1, 0.0)
-        assert self._check(p, Params(0.0, 0.1, 0.0)) is PolePassed
+        assert not in_domain_D(p).in_D
 
     def test_negative_mu(self):
         assert self._check(Params(1.0, -0.08, -0.3)) is SigmaSolution
@@ -194,6 +215,33 @@ class TestAgainstReference:
     def test_explicit_reference(self, reference):
         assert self._check(Params(1.3, 0.2, -0.4), reference) \
             is SigmaSolution
+
+
+def _companion_roots(p):
+    """Roots of the cleared quintic (5 eta - 3 s)^2 (nu + s^3/2 - 5 eta s^2/4)
+    + 6 mu^2, from the eigenvalues of its companion matrix (np.roots)."""
+    e, m, n = p.eta, p.mu, p.nu
+    return np.roots([4.5, -26.25 * e, 50.0 * e**2, 9.0 * n - 31.25 * e**3,
+                     -30.0 * e * n, 25.0 * e**2 * n + 6.0 * m**2])
+
+
+class TestAgainstCompanionMatrix:
+    """D and its root against the cleared quintic's eigenvalue roots: a point
+    is in D iff a real root lies above max(5 eta/3, 0), and sigma is the
+    largest such root.  Eigenvalues within 1e-6 (1 + |z|) of the real axis
+    count as real."""
+
+    def test_largest_real_root_on_grid(self):
+        wrong = []
+        for p in THIN_GRID:
+            z = _companion_roots(p)
+            real = z.real[(np.abs(z.imag) <= 1e-6 * (1.0 + np.abs(z)))
+                          & (z.real > max(5.0 * p.eta / 3.0, 0.0))]
+            rep = in_domain_D(p)
+            if rep.in_D != bool(real.size) or rep.in_D and \
+                    abs(real.max() - rep.sigma) > 1e-9 * (1.0 + rep.sigma):
+                wrong.append((p, rep.sigma, real))
+        assert wrong == []
 
 
 class TestViete:
@@ -344,12 +392,42 @@ class TestDomainMembership:
         rep = in_domain_D(Params(-1.0, 0.0, 0.0))
         assert not rep.in_D
 
-    @pytest.mark.parametrize("eta", [1e103, 1e200])
+    @pytest.mark.parametrize("eta", [1e103, 1e200, 1e308])
     def test_overflowing_scale_is_reported(self, eta):
-        # the reference root 2.5*eta is cubed before the continuation starts
+        # a coefficient of the cleared quintic (31.25 eta^3) is inf
         rep = in_domain_D(Params(eta, 0.0, 0.0))
         assert not rep.in_D and math.isnan(rep.sigma)
         assert "overflow" in rep.reason
+
+    def test_matches_nu_critical_on_grid(self):
+        # Cross-module oracle: D is nu < nu_critical(eta, mu).  Points within
+        # 1e-12 (1 + |nu_critical|) of the surface are skipped: there the
+        # verdict rests on how nu_critical and the root were rounded.  On
+        # this grid that is (1.2, 0, 2), one ulp below nu_critical.
+        from tau34.critical import nu_critical
+        etas, mus, nus = GRID_AXES
+        inside, wrong = 0, []
+        for eta, mu in itertools.product(map(float, etas), map(float, mus)):
+            nc = nu_critical(eta, mu)
+            for nu in map(float, nus):
+                if abs(nu - nc) <= 1e-12 * (1.0 + abs(nc)):
+                    continue
+                rep = in_domain_D(Params(eta, mu, nu))
+                inside += rep.in_D
+                if rep.in_D != (nu < nc):
+                    wrong.append((eta, mu, nu, rep.reason))
+        assert wrong == []
+        assert 0 < inside < len(etas) * len(mus) * len(nus)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    def test_never_raises(self, eta, mu, nu):
+        rep = in_domain_D(Params(eta, mu, nu))
+        assert rep.in_D == (rep.reason == "")
+        if rep.in_D:
+            assert rep.sigma > max(5.0 * eta / 3.0, 0.0)
 
 
 class TestSigmaJets:
