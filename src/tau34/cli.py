@@ -348,16 +348,24 @@ def cmd_critical(args):
     for eta0 in eta_axis:
         if eta0 <= 0:
             continue
-        nu0 = 125.0 * eta0**3 / 108.0
-        q = float(cr.tauhat0_exponent(eta0, nu0, eta0))
-        v = te.tau_leading(pd.Params(eta0, 0.0, nu0),
-                           sigma=5.0 * eta0 / 3.0).varpi0
+        try:
+            nu0 = 125.0 * eta0**3 / 108.0
+            q = float(cr.tauhat0_exponent(eta0, nu0, eta0))
+            v = te.tau_leading(pd.Params(eta0, 0.0, nu0),
+                               sigma=5.0 * eta0 / 3.0).varpi0
+            gap = abs(q - v)
+        except OverflowError:
+            gap = math.inf
+        # varpi0 grows like eta0^7: beyond about 1e44 it is not a double
+        if not math.isfinite(gap):
+            raise pd.DomainError(f"eta0 = {eta0!r}: the normalizer exponent "
+                                 "overflows double precision")
         records.append({
             "eta0": eta0,
             "C_down": cr.scaling_constant_plus(eta0, (0.0, -1.0)),
             "tauhat0_exponent": q,
             "varpi0_boundary": v,
-            "normalizer_gap": abs(q - v),
+            "normalizer_gap": gap,
             "c_lead_plus": cr.tritronquee_constant(eta0, "plus"),
             "c_lead_minus": cr.tritronquee_constant(-eta0, "minus"),
         })

@@ -8,15 +8,20 @@ points of either stratum the spectral curve is deformed into a modified
 curve whose g-functions match phases with slowly drifting coefficients;
 conformal scaling maps then produce the Painleve I variables.
 
-The tritronquee normalizer exponent implemented here is the quadratic
-Taylor polynomial (at the plus-stratum point) of the nu-analytic part of
-varpi0.  It agrees with varpi0 and its gradient on the stratum and its
-differential cancels the leading phase-pairing residues; see the README
-notes on conventions.
+Conventions: Painleve I is q'' = 6 q^2 + x, on the branch seeded by
+q ~ +sqrt(-x/6) as x -> -inf.  About the plus-stratum point eta0 > 0
+(nu0 = (125/108) eta0^3) the coefficients drift as eta_hat = eta0 -
+C n_eta x h^(4/5), nu_hat = nu0 - C n_nu x h^(4/5), for a direction n below
+the tangent line and C = scaling_constant_plus(eta0, n); about the
+minus-stratum point eta0 = -s < 0 only nu drifts, nu_hat = (5s/6)^(1/5)
+x h^(4/5).  The tritronquee normalizer is exp(h^-2 tauhat0_exponent), the
+quadratic Taylor polynomial (at the plus-stratum point) of the nu-analytic
+part of varpi0.  It agrees with varpi0 and its gradient on the stratum, and
+its differential cancels the leading phase-pairing residues.
 """
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -88,25 +93,38 @@ def nu_critical(eta, mu):
     above max(5 eta/3, 0) of the cleared quintic) collides with another
     root; above it no real root is left above that floor.  Solves the
     surface parametrization for |mu| (monotone in sigma on
-    sigma > max(5 eta/3, 0)) and returns nu(sigma).
+    sigma > max(5 eta/3, 0)) and returns nu(sigma), with sigma to 1e-14
+    absolute.  It is nan where that overflows double precision (|eta|
+    beyond about 1e102, or |mu| so large that (5 eta - 3 sigma)^2 does).
     """
     from scipy.optimize import brentq
 
     mu = abs(mu)
-    s_lo = max(5.0 * eta / 3.0, 0.0) + 1e-12
+    floor = max(5.0 * eta / 3.0, 0.0)
 
     def mu_of(s):
         return (math.sqrt(2.0 * s) / 12.0) * (5.0 * eta - 3.0 * s) ** 2
 
-    if mu == 0.0:
-        if eta > 0:
-            return 125.0 * eta**3 / 108.0
-        return 0.0
-    s_hi = max(s_lo * 2.0, 1.0)
-    while mu_of(s_hi) < mu:
-        s_hi *= 2.0
-    s = brentq(lambda t: mu_of(t) - mu, s_lo, s_hi, xtol=1e-14)
-    return surface_param(s, eta)[0]
+    if not math.isfinite(5.0 * eta):
+        return math.nan
+    try:
+        if mu == 0.0:
+            return 125.0 * eta**3 / 108.0 if eta > 0 else 0.0
+        # mu_of(floor) = 0; the bracket starts 1e-12 above the floor unless
+        # |mu| is so small that mu_of already exceeds it there.  Where it
+        # exceeds it even at the floor (the rounding of 5 eta - 3 floor),
+        # the root lies within rounding of the floor.
+        s = floor + 1e-12
+        if mu_of(s) > mu:
+            s = floor
+        if mu_of(s) < mu:
+            s_hi = max(s * 2.0, 1.0)
+            while mu_of(s_hi) < mu:
+                s_hi *= 2.0
+            s = brentq(lambda t: mu_of(t) - mu, s, s_hi, xtol=1e-14)
+        return surface_param(s, eta)[0]
+    except OverflowError:
+        return math.nan
 
 
 def gauss_angle(eta):
@@ -136,20 +154,14 @@ def gauss_angle_max(lo=1e-3, hi=2.0, tol=1e-10):
 # modified spectral curves
 # ---------------------------------------------------------------------------
 
-def _plus_base_curve(eta0):
-    """Critical curve at the plus-stratum point (sigma = 5 eta0/3)."""
-    nu0 = 125.0 * eta0**3 / 108.0
-    return sc.build_curve(Params(eta0, 0.0, nu0), sigma=5.0 * eta0 / 3.0)
-
-
-def _plus_correction_polys(eta0):
-    """Deformation polynomials d_a, d_c (ascending coefficients).
+def _plus_deformation(eta0, d_eta, d_nu):
+    """Deformation s_a d_a(u) + s_c d_c(u) of g (ascending, degree 5).
 
     ghat(u) = g_crit(u) + s_a d_a(u) + s_c d_c(u) matches phases with
-    (eta_hat, 0, nu_hat) when
+    (eta0 + d_eta, 0, nu0 + d_nu) when
 
-        s_a = [ (nu_hat - nu0) + (36/125) eta0^-2 (eta_hat - eta0) ] / Cd
-        s_c = [ -(nu_hat - nu0) + (125/36) eta0^2 (eta_hat - eta0) ] / Cd
+        s_a = [ d_nu + (36/125) eta0^-2 d_eta ] / Cd
+        s_c = [ -d_nu + (125/36) eta0^2 d_eta ] / Cd
         Cd  = (125/36) eta0^2 + (36/125) eta0^-2;
 
     d_a contributes lam^(5/3) + (125/36) eta0^2 lam^(1/3) at infinity and
@@ -157,68 +169,40 @@ def _plus_correction_polys(eta0):
     """
     q = 125.0 * eta0**2 / 36.0
     r = 36.0 / (125.0 * eta0**2)
+    s_a = (d_nu + r * d_eta) / (q + r)
+    s_c = (-d_nu + q * d_eta) / (q + r)
     d_a = np.array([0.0, 125.0 * eta0**2 / 18.0, 0.0,
                     -25.0 * eta0 / 6.0, 0.0, 1.0])
     d_c = np.array([0.0, q - r, 0.0, -25.0 * eta0 / 6.0, 0.0, 1.0])
-    return d_a, d_c, q + r
+    return s_a * d_a + s_c * d_c
 
 
 @dataclass(frozen=True)
 class ModifiedCurve:
     """Modified curve about a critical point.
 
-    For eta0 > 0: the lam-polynomial is frozen at the critical one and the
-    g-polynomial drifts with (eta_hat(h), nu_hat(h)).  For eta0 < 0 the
-    curve is the pure cube lam = u^3 with exact uniformization.
+    The lam-polynomial is frozen at the critical curve `base` and the
+    g-polynomial drifts with (eta_hat(h), nu_hat(h)); `at(h)` is the
+    ordinary SpectralCurve with that g-polynomial and the phases of
+    (eta_hat, 0, nu_hat).  For eta0 > 0 `base` is the plus-stratum curve
+    (sigma = 5 eta0/3); for eta0 < 0 it is the pure cube lam = u^3.
     """
     eta0: float
-    base: object                 # SpectralCurve (plus case) or None
+    base: sc.SpectralCurve
     eta_hat_fn: object           # hbar -> eta_hat
     nu_hat_fn: object            # hbar -> nu_hat
-    u_star: float                # u-plane critical point (plus case)
-    alpha_hat: float             # lam-plane branch point (0 in minus case)
 
-    @property
-    def sign_case(self):
-        return "plus" if self.eta0 > 0 else "minus"
-
-    def g_hat_coeffs(self, hbar):
-        """Ascending coefficients of ghat(u) at parameter hbar (plus case)."""
+    def at(self, hbar):
+        eh = self.eta_hat_fn(hbar)
+        nh = self.nu_hat_fn(hbar)
         if self.eta0 < 0:
-            eh = self.eta_hat_fn(hbar)
-            nh = self.nu_hat_fn(hbar)
-            return np.array([0.0, nh, 0.0, 0.0, 0.0, eh, 0.0, 3.0 / 7.0])
-        d_a, d_c, cd = _plus_correction_polys(self.eta0)
-        nu0 = 125.0 * self.eta0**3 / 108.0
-        dn = self.nu_hat_fn(hbar) - nu0
-        de = self.eta_hat_fn(hbar) - self.eta0
-        s_a = (dn + 36.0 / (125.0 * self.eta0**2) * de) / cd
-        s_c = (-dn + 125.0 * self.eta0**2 / 36.0 * de) / cd
-        g = self.base.g_coeffs.copy()
-        g[: len(d_a)] += s_a * d_a + s_c * d_c
-        return g
-
-    def g_hat_sheet(self, lam, sheet, hbar, side=None):
-        """ghat_j(lam; hbar)."""
-        if self.eta0 < 0:
-            u = _cube_root_sheet(lam, sheet)
-            co = self.g_hat_coeffs(hbar)
-            return np.polynomial.polynomial.polyval(u, co)
-        u = sc.uniformize(self.base, lam, sheet, side=side)
-        return np.polynomial.polynomial.polyval(u, self.g_hat_coeffs(hbar))
-
-
-def _cube_root_sheet(lam, sheet):
-    """Exact omega-rotated principal cube roots per sheet/half-plane."""
-    lam = complex(lam)
-    t = lam ** (1.0 / 3.0)
-    upper = lam.imag >= 0.0
-    w = sc.OMEGA
-    if sheet == 1:
-        return t
-    if sheet == 2:
-        return t * (w**2 if upper else w)
-    return t * (w if upper else w**2)
+            # on lam = u^3 the sheet root is tau itself, so ghat = Theta
+            g = np.array([0.0, nh, 0.0, 0.0, 0.0, eh, 0.0, 3.0 / 7.0])
+        else:
+            g = self.base.g_coeffs.copy()
+            g[:6] += _plus_deformation(self.eta0, eh - self.eta0,
+                                       nh - self.base.params.nu)
+        return replace(self.base, params=Params(eh, 0.0, nh), g_coeffs=g)
 
 
 def modified_curve(eta0, eta_hat_fn=None, nu_hat_fn=None):
@@ -229,97 +213,12 @@ def modified_curve(eta0, eta_hat_fn=None, nu_hat_fn=None):
     """
     if eta0 == 0.0:
         raise DomainError("eta0 must be nonzero")
-    if eta0 > 0:
-        base = _plus_base_curve(eta0)
-        u_star = math.sqrt(5.0 * eta0 / 6.0)
-        alpha_hat = (5.0 * eta0 / 3.0) * u_star
-        if eta_hat_fn is None:
-            eta_hat_fn = lambda h: eta0
-        if nu_hat_fn is None:
-            nu_hat_fn = lambda h: 125.0 * eta0**3 / 108.0
-        return ModifiedCurve(eta0=eta0, base=base, eta_hat_fn=eta_hat_fn,
-                             nu_hat_fn=nu_hat_fn, u_star=u_star,
-                             alpha_hat=alpha_hat)
-    if eta_hat_fn is None:
-        eta_hat_fn = lambda h: eta0
-    if nu_hat_fn is None:
-        nu_hat_fn = lambda h: 0.0
-    return ModifiedCurve(eta0=eta0, base=None, eta_hat_fn=eta_hat_fn,
-                         nu_hat_fn=nu_hat_fn, u_star=0.0, alpha_hat=0.0)
-
-
-def modified_matching_report(mcurve, hbar, radii=None, arg=0.9, dps=50):
-    """Decay of |ghat_j - theta_j(.; eta_hat, 0, nu_hat)| per sheet.
-
-    Plus case: mp fit of the log-log slope (expected -1/3).  Minus case:
-    the match is exact; the report carries slope None and the max residual.
-    """
-    import mpmath
-    mp = mpmath.mp.clone()
-    mp.dps = dps
-    eh = mcurve.eta_hat_fn(hbar)
-    nh = mcurve.nu_hat_fn(hbar)
-    phase_params = Params(eh, 0.0, nh)
-    if radii is None:
-        # higher window than the base-curve fit: the drifted coefficients
-        # mix in stronger lam^(-2/3) contamination at the low end
-        radii = np.logspace(6, 9, 16)
-    report = {}
-    coeffs = _g_hat_coeffs_mp(mcurve, hbar, mp)
-    for half, argv in (("upper", arg), ("lower", -arg)):
-        perm = {1: 1, 2: 3, 3: 2} if half == "upper" else {1: 1, 2: 2, 3: 3}
-        for sheet in (1, 2, 3):
-            diffs = []
-            for r in radii:
-                lam = r * cmath.exp(1j * argv)
-                th = sc.theta_phase_mp(lam, perm[sheet], phase_params, dps=dps)
-                if mcurve.eta0 > 0:
-                    u, _, _ = sc._mp_sheet_value(mcurve.base, lam, sheet,
-                                                 dps=dps)
-                else:
-                    u = mp.mpc(lam) ** (mp.mpf(1) / 3)
-                    w = mp.exp(2j * mp.pi / 3)
-                    if sheet == 2:
-                        u *= w**2 if complex(lam).imag >= 0 else w
-                    elif sheet == 3:
-                        u *= w if complex(lam).imag >= 0 else w**2
-                acc = mp.mpc(0)
-                for ckk in reversed(coeffs):
-                    acc = acc * u + ckk
-                diffs.append(float(abs(acc - th)))
-            diffs = np.array(diffs)
-            if np.max(diffs) < 1e-12 * float(radii[-1]) ** (1.0 / 3.0):
-                report[(sheet, half)] = (None, float(diffs.max()))
-            else:
-                slope = np.polyfit(np.log(radii), np.log(diffs), 1)[0]
-                report[(sheet, half)] = (float(slope), float(diffs.max()))
-    return report
-
-
-def _g_hat_coeffs_mp(mcurve, hbar, mp):
-    """ghat coefficients rebuilt in mp (exactly-promoted inputs)."""
-    eh = mp.mpf(mcurve.eta_hat_fn(hbar))
-    nh = mp.mpf(mcurve.nu_hat_fn(hbar))
-    if mcurve.eta0 < 0:
-        z = mp.mpf(0)
-        return [z, nh, z, z, z, eh, z, mp.mpf(3) / 7]
-    eta0 = mp.mpf(mcurve.eta0)
-    _, _, g = sc._mp_g_coeffs(mcurve.base, mp)
-    q = mp.mpf(125) * eta0**2 / 36
-    r = mp.mpf(36) / (125 * eta0**2)
-    z = mp.mpf(0)
-    d_a = [z, mp.mpf(125) * eta0**2 / 18, z, -mp.mpf(25) * eta0 / 6, z,
-           mp.mpf(1)]
-    d_c = [z, q - r, z, -mp.mpf(25) * eta0 / 6, z, mp.mpf(1)]
-    nu0 = mp.mpf(125) * eta0**3 / 108
-    dn = nh - nu0
-    de = eh - eta0
-    s_a = (dn + r * de) / (q + r)
-    s_c = (-dn + q * de) / (q + r)
-    out = list(g)
-    for k in range(6):
-        out[k] = out[k] + s_a * d_a[k] + s_c * d_c[k]
-    return out
+    nu0 = 125.0 * eta0**3 / 108.0 if eta0 > 0 else 0.0
+    base = sc.build_curve(Params(eta0, 0.0, nu0),
+                          sigma=max(5.0 * eta0 / 3.0, 0.0))
+    return ModifiedCurve(eta0=eta0, base=base,
+                         eta_hat_fn=eta_hat_fn or (lambda h: eta0),
+                         nu_hat_fn=nu_hat_fn or (lambda h: nu0))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +253,8 @@ def scaling_maps_plus(eta0, n_vec, x):
         x(lam; h) = (1/2)(8/5)^(1/5) [psi(lam;h) - psi(lam;0)] / psi(lam;0)^(1/5)
 
     with the drift eta_hat = eta0 - C n_eta x h^(4/5), nu_hat = nu0 -
-    C n_nu x h^(4/5).  h^(-4/5) x(lam; h) -> x as lam -> -alpha_hat.
+    C n_nu x h^(4/5).  h^(-4/5) x(lam; h) -> x as lam -> -alpha, which is
+    beta on the critical curve (c = 0).
     """
     if eta0 <= 0:
         raise DomainError("plus-stratum maps need eta0 > 0")
@@ -365,37 +265,28 @@ def scaling_maps_plus(eta0, n_vec, x):
     mcurve = modified_curve(eta0, eta_hat, nu_hat)
     base = mcurve.base
 
-    def psi(lam, hbar):
-        g1 = mcurve.g_hat_sheet(lam, 1, hbar)
-        g2 = mcurve.g_hat_sheet(lam, 2, hbar)
-        return g1 - g2
+    def psi0(lam):
+        return sc.g_sheet(base, lam, 1) - sc.g_sheet(base, lam, 2)
 
     def psi_diff(lam, hbar):
         # psi(lam; h) - psi(lam; 0), evaluated through the deformation
-        # polynomials only (exact difference, no large cancellation)
-        d_a, d_c, cd = _plus_correction_polys(eta0)
-        dn = nu_hat(hbar) - nu0
-        de = eta_hat(hbar) - eta0
-        s_a = (dn + 36.0 / (125.0 * eta0**2) * de) / cd
-        s_c = (-dn + 125.0 * eta0**2 / 36.0 * de) / cd
-        u1 = sc.uniformize(base, lam, 1)
-        u2 = sc.uniformize(base, lam, 2)
+        # polynomial only (exact difference, no large cancellation)
+        d = _plus_deformation(eta0, eta_hat(hbar) - eta0, nu_hat(hbar) - nu0)
         pv = np.polynomial.polynomial.polyval
-        return (s_a * (pv(u1, d_a) - pv(u2, d_a))
-                + s_c * (pv(u1, d_c) - pv(u2, d_c)))
+        return (pv(sc.uniformize(base, lam, 1), d)
+                - pv(sc.uniformize(base, lam, 2), d))
 
     def zeta(lam):
-        w = 0.625 * psi(lam, 0.0)
-        theta = cmath.phase(complex(lam) - (-mcurve.alpha_hat))
+        w = 0.625 * psi0(lam)
+        theta = cmath.phase(complex(lam) + base.alpha)
         arg = cmath.phase(w)
         target = 2.5 * theta
         k = round((target - arg) / (2.0 * math.pi))
         return abs(w) ** 0.4 * cmath.exp(0.4j * (arg + 2.0 * math.pi * k))
 
     def x_of_lambda(lam, hbar):
-        w = psi(lam, 0.0)
         return (0.5 * (8.0 / 5.0) ** 0.2 * psi_diff(lam, hbar)
-                / w ** 0.2)
+                / psi0(lam) ** 0.2)
 
     return ScalingMaps(case="plus", C=C, zeta=zeta, x_of_lambda=x_of_lambda,
                        eta_hat=eta_hat, nu_hat=nu_hat, mcurve=mcurve)
@@ -425,7 +316,7 @@ def scaling_maps_minus(s, x):
 
 
 def x_limit_plus(maps, x, hbars=(1e-3, 1e-4), deltas=(2e-2, 1e-2, 5e-3)):
-    """Richardson-extrapolated value of h^(-4/5) x(lam; h) at -alpha_hat.
+    """Richardson-extrapolated value of h^(-4/5) x(lam; h) at -alpha.
 
     The hbar-dependence is exactly linear in x h^(4/5) by construction, so
     the extrapolation is in the lam-offset delta (the O(lam + alpha) term).
@@ -433,7 +324,7 @@ def x_limit_plus(maps, x, hbars=(1e-3, 1e-4), deltas=(2e-2, 1e-2, 5e-3)):
     out = []
     for h in hbars:
         vals = []
-        beta_hat = -maps.mcurve.alpha_hat
+        beta_hat = -maps.mcurve.base.alpha
         for d in deltas:
             lam = beta_hat + d
             vals.append(maps.x_of_lambda(lam, h) / h ** 0.8)
@@ -594,16 +485,17 @@ def tauhat0_exponent(eta, nu, eta0):
 
 
 def _largest_real_root(mp, b, d):
-    """Largest real root of s^3/2 + b s^2 + d at the precision of `mp`.
+    """Largest real root of t^3/2 + b t^2 + d (b > 0 > d) at the precision
+    of `mp`.
 
-    Real Newton iteration seeded from the largest real root of `np.roots`;
-    on the plus stratum the split roots are ~h^(2/5) apart against a seed
-    error of ~1e-8, so the seed lies in the right root's basin.  The
-    iteration runs with 80 extra bits, so that the step of a nearly double
-    root still falls below the 2^-(prec+4) relative stopping bound.
+    The root is positive and simple, and on t > 0 the cubic is increasing
+    and convex.  At sqrt(-d/b) the cubic equals t^3/2 > 0, so Newton's
+    method from there decreases monotonically onto the root, as in
+    `param_domain.solve_sigma`.  The iteration runs with 80 extra bits, so
+    that rounding never holds the step above the 2^-(prec+4) relative
+    stopping bound.
     """
-    seeds = np.roots([0.5, float(b), 0.0, float(d)])
-    s = mp.mpf(float(seeds[seeds.imag == 0].real.max()))
+    s = mp.sqrt(-d / b)
     tol = mp.ldexp(1, -(mp.prec + 4))
     with mp.extraprec(80):
         for _ in range(60):
@@ -626,8 +518,12 @@ def tritronquee_constant(eta0, side, n_vec=(0.0, -1.0), x=-1.0,
     Minus stratum: c = lim (1/2) (5s/6)^(2/5) h^(-2/5)
                          sigma(eta0, 0, nu(h)) / sqrt(-x),  s = -eta0.
 
-    The mu = 0 root is cubic-exact (mpmath); a two-point Richardson step in
-    h^(2/5) removes the leading splitting correction.
+    On mu = 0 the branch equation is the cubic s^3/2 - (5/4) eta s^2 + nu.
+    Shifted to its double point at the stratum (s = 5 eta_hat/3, resp.
+    s = 0) it reads t^3/2 + b t^2 + d with b > 0 > d, where d is the
+    O(h^(4/5)) drift written without the O(eta0^3) cancellation; its root
+    t is solved in mpmath.  A two-point Richardson step in h^(2/5) removes
+    the leading splitting correction.
     """
     import mpmath
     mp = mpmath.mp.clone()
@@ -641,11 +537,13 @@ def tritronquee_constant(eta0, side, n_vec=(0.0, -1.0), x=-1.0,
             if eta0 <= 0:
                 raise DomainError("plus stratum needs eta0 > 0")
             C = mp.mpf(scaling_constant_plus(eta0, n_vec))
-            eh = mp.mpf(eta0) - C * n_vec[0] * x * hm ** mp.mpf("0.8")
-            nh = (mp.mpf(125) / 108 * mp.mpf(eta0) ** 3
-                  - C * n_vec[1] * x * hm ** mp.mpf("0.8"))
-            sig = _largest_real_root(mp, -mp.mpf("1.25") * eh, nh)
-            delta = sig - 5 * eh / 3
+            e0 = mp.mpf(eta0)
+            drift = C * x * hm ** mp.mpf("0.8")
+            # eta_hat = eta0 - eps, nu_hat = nu0 - n_nu drift
+            eps = drift * n_vec[0]
+            d = (mp.mpf(125) / 108 * eps * (3 * e0**2 - 3 * e0 * eps + eps**2)
+                 - drift * n_vec[1])
+            delta = _largest_real_root(mp, mp.mpf("1.25") * (e0 - eps), d)
             val = (mp.mpf(0.25) * (mp.mpf(10) * eta0 / 3) ** mp.mpf("0.4")
                    * delta / hm ** mp.mpf("0.4") / mp.sqrt(-mp.mpf(x)))
         elif side == "minus":
@@ -661,7 +559,6 @@ def tritronquee_constant(eta0, side, n_vec=(0.0, -1.0), x=-1.0,
             raise ValueError("side must be 'plus' or 'minus'")
         vals.append(val)
     # two-point Richardson in h^(2/5): hbars with ratio 32 give factor 4
-    r = (vals[0] / vals[1]) if vals[1] != 0 else mp.mpf(1)
     t = (mp.mpf(hbars[0]) / mp.mpf(hbars[1])) ** mp.mpf("0.4")
     extrap = (t * vals[1] - vals[0]) / (t - 1)
     return float(extrap)

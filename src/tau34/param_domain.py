@@ -274,7 +274,8 @@ def _P_sigma_derivatives(sigma, p, n):
 
 def sigma_jets(p, depth=1, sigma=None):
     """Derivative tower of the root: d^n s/d nu^n (n <= depth <= 4) plus
-    first-order d s/d mu and d s/d eta from the implicit function theorem.
+    first-order d s/d mu and d s/d eta from the implicit function theorem,
+    in the scalar type of p and sigma (floats, or mpmath with both given).
 
     P(s; eta, mu, nu) = nu + Q(s; eta, mu) with P_nu = 1, so the nu-tower is
     the inverse-function expansion of nu(s) = -Q(s).

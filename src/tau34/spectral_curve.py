@@ -420,9 +420,9 @@ def check_g_asymptotics(curve, radii=None, arg_upper=0.9, arg_lower=-0.9):
 
 
 # ---------------------------------------------------------------------------
-# high-precision evaluation (mpmath): used by the branch-point fit and the
-# modified-curve matching report, where double precision hits the
-# cancellation floor of g_i - g_j and g_j - theta_j.
+# high-precision evaluation (mpmath), for test oracles only: sampled fits of
+# g_i - g_j near a branch point and of g_j - theta_j at infinity, where
+# double precision hits the cancellation floor.  No command runs them.
 # ---------------------------------------------------------------------------
 
 def _mp_context(dps):

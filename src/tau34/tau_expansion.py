@@ -123,43 +123,17 @@ def h1_first_correction(p, sigma=None):
 # recursive expansion of the rescaled string equation
 # ---------------------------------------------------------------------------
 
-def _sigma_refined(p, mp):
-    """Branch-equation root as an mp float (Newton from the double root)."""
+def _sigma_refined(p, pm, mp):
+    """Branch-equation root at pm, the mpmath copy of p: Newton on
+    `param_domain.eval_P` from the double-precision root."""
     s = mp.mpf(pd.solve_sigma(p).sigma)
-    eta, mu, nu = map(mp.mpf, (p.eta, p.mu, p.nu))
     for _ in range(80):
-        den = 5 * eta - 3 * s
-        val = nu + s**3 / 2 - mp.mpf(5) / 4 * eta * s * s + 6 * mu * mu / den**2
-        dp = mp.mpf(3) / 2 * s * s - mp.mpf(5) / 2 * eta * s + 36 * mu * mu / den**3
-        step = val / dp
+        value, dP = pd.eval_P(s, pm)
+        step = value / dP
         s -= step
         if abs(step) < mp.mpf(10) ** (-mp.dps + 4) * (1 + abs(s)):
             break
     return s
-
-
-def _nu_tower(sigma, eta, mu, depth):
-    """[s, s', s'', ...] with ' = d/dnu, generic scalar type."""
-    den = 5 * eta - 3 * sigma
-    P1 = 1.5 * sigma**2 - 2.5 * eta * sigma
-    P2 = 3 * sigma - 2.5 * eta
-    P3 = P1 * 0 + 3
-    P4 = P1 * 0
-    if mu != 0:
-        m2 = mu * mu
-        P1 = P1 + 36 * m2 / den**3
-        P2 = P2 + 324 * m2 / den**4
-        P3 = P3 + 3888 * m2 / den**5
-        P4 = P4 + 58320 * m2 / den**6
-    n1, n2, n3, n4 = -P1, -P2, -P3, -P4
-    tower = [sigma, 1 / n1]
-    if depth >= 2:
-        tower.append(-n2 / n1**3)
-    if depth >= 3:
-        tower.append((3 * n2**2 - n1 * n3) / n1**5)
-    if depth >= 4:
-        tower.append((-15 * n2**3 + 10 * n1 * n2 * n3 - n1**2 * n4) / n1**7)
-    return tower[: depth + 1]
 
 
 def _jet_derivative(jet):
@@ -177,27 +151,23 @@ def expansion_jet(p, K=1, dps=None):
     """
     if not 0 <= K <= 2:
         raise ValueError("expansion order K must be 0, 1 or 2")
+    pm, sigma = p, None
     if dps is not None:
         import mpmath
         mp = mpmath.mp.clone()
         mp.dps = dps
-        sigma = _sigma_refined(p, mp)
-        eta, mu = mp.mpf(p.eta), mp.mpf(p.mu)
-    else:
-        sigma = pd.solve_sigma(p).sigma
-        eta, mu = p.eta, p.mu
+        pm = pd.Params(*map(mp.mpf, (p.eta, p.mu, p.nu)))
+        sigma = _sigma_refined(p, pm, mp)
+    eta, mu = pm.eta, pm.mu
 
     depth = 4
-    tower = _nu_tower(sigma, eta, mu, depth)
-    u0 = Jet.from_derivatives(tower)
+    u0 = Jet.from_derivatives(pd.sigma_jets(pm, depth, sigma=sigma).dnu)
     v0 = (-2 * mu) / (5 * eta - 3 * u0) if mu != 0 else u0 * 0
     series_u = [u0]
     series_v = [v0]
     for k in (1, 2):
         if K < k:
             break
-        uk_1 = series_u[k - 1]
-        vk_1 = series_v[k - 1]
         m11 = 1.5 * u0 * u0 - 2.5 * eta * u0
         m12 = 3 * v0
         m21 = -1.5 * v0

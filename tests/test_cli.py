@@ -355,3 +355,18 @@ class TestOther:
         row = out.strip().splitlines()[1].split(",")
         assert float(row[1]) == pytest.approx((10.0 / 3.0) ** 0.2)
         assert float(row[4]) < 1e-10
+
+    @pytest.mark.parametrize("eta", ["300", "1000", "1e30"])
+    def test_critical_large_eta_constants(self, capsys, eta):
+        code, out, _ = run(capsys, "critical", "--eta", eta)
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        for c in row[-2:]:
+            assert abs(float(c) - 6.0 ** -0.5) < 1e-6
+
+    @pytest.mark.parametrize("eta", ["1e60", "1e120"])
+    def test_critical_overflowing_eta_exit_two(self, capsys, eta):
+        code, out, err = run(capsys, "critical", "--eta", eta)
+        assert code == 2 and out == ""
+        assert err.startswith("tau34: error: eta0 = ")
+        assert "Traceback" not in err

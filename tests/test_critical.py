@@ -4,11 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import tau34.critical as cr
+from tau34 import spectral_curve as sc
 from tau34.critical import (GAUSS_ANGLE_ARGMAX, InadmissibleDirection,
                             PIState, gauss_angle, gauss_angle_max,
-                            modified_curve, modified_matching_report,
-                            nu_critical, pi_hamiltonian, pi_integrate,
+                            modified_curve, nu_critical, pi_hamiltonian,
+                            pi_integrate,
                             pi_rhp_2x2, pi_seed, pi3_cyclic_identity,
                             pi3_expansion_coeffs, pi3_stokes_relation,
                             scaling_constant_plus, scaling_maps_minus,
@@ -28,6 +32,51 @@ def _polyroots_largest_real_root(mp, b, d):
     roots = mp.polyroots([mp.mpf("0.5"), b, mp.mpf(0), d], maxsteps=200,
                          extraprec=80)
     return sorted(r.real for r in roots if abs(r.imag) < 1e-20)[-1]
+
+
+def _g_hat_coeffs_mp(mcurve, hbar, mp):
+    """Test-only oracle: the plus-stratum ghat rebuilt in mpmath, from the
+    phase-matching conditions with exactly promoted inputs."""
+    eh = mp.mpf(mcurve.eta_hat_fn(hbar))
+    nh = mp.mpf(mcurve.nu_hat_fn(hbar))
+    eta0 = mp.mpf(mcurve.eta0)
+    _, _, g = sc._mp_g_coeffs(mcurve.base, mp)
+    q = mp.mpf(125) * eta0**2 / 36
+    r = mp.mpf(36) / (125 * eta0**2)
+    z = mp.mpf(0)
+    d_a = [z, mp.mpf(125) * eta0**2 / 18, z, -mp.mpf(25) * eta0 / 6, z,
+           mp.mpf(1)]
+    d_c = [z, q - r, z, -mp.mpf(25) * eta0 / 6, z, mp.mpf(1)]
+    dn = nh - mp.mpf(125) * eta0**3 / 108
+    de = eh - eta0
+    s_a = (dn + r * de) / (q + r)
+    s_c = (-dn + q * de) / (q + r)
+    return [gk + (s_a * d_a[k] + s_c * d_c[k] if k < 6 else 0)
+            for k, gk in enumerate(g)]
+
+
+def sampled_matching_report(mcurve, hbar, radii, dps=50):
+    """Test-only oracle: log-log fit of |ghat_j - theta_perm(j)| sampled in
+    mpmath, with the radii, rays, sheet permutation and fit of
+    `check_g_asymptotics`.  The sheet roots are Newton-refined in mpmath."""
+    import mpmath
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    phase = Params(mcurve.eta_hat_fn(hbar), 0.0, mcurve.nu_hat_fn(hbar))
+    coeffs = _g_hat_coeffs_mp(mcurve, hbar, mp)
+    report = {}
+    for half, arg, perm in (("upper", 0.9, (1, 3, 2)),
+                            ("lower", -0.9, (1, 2, 3))):
+        for sheet in (1, 2, 3):
+            diffs = []
+            for r in radii:
+                lam = r * cmath.exp(1j * arg)
+                u, _, _ = sc._mp_sheet_value(mcurve.base, lam, sheet, dps=dps)
+                th = sc.theta_phase_mp(lam, perm[sheet - 1], phase, dps=dps)
+                diffs.append(float(abs(mp.polyval(coeffs[::-1], u) - th)))
+            slope = np.polyfit(np.log(radii), np.log(diffs), 1)[0]
+            report[(sheet, half)] = (float(slope), max(diffs))
+    return report
 
 
 class TestSurface:
@@ -67,6 +116,24 @@ class TestSurface:
         assert nu_critical(1.0, 0.0) == pytest.approx(125.0 / 108.0)
         # off the symmetric slice the surface sits below the cube law
         assert nu_critical(0.5, 0.05) < 125.0 / 108.0 * 0.125
+
+    @pytest.mark.parametrize("eta,mu", [(-1.0, 1e-7), (0.0, 7e-142),
+                                        (1.0, 1e-30)])
+    def test_nu_critical_tiny_mu(self, eta, mu):
+        # mu_of(floor + 1e-12) already exceeds |mu|: the bracket starts at
+        # the floor, and the surface meets the mu = 0 value
+        assert nu_critical(eta, mu) == pytest.approx(nu_critical(eta, 0.0),
+                                                     rel=1e-12, abs=1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_nu_critical_never_raises(self, eta, mu):
+        # nan where the parametrization overflows; otherwise the surface
+        # sits at or below its mu = 0 value
+        nc, nc0 = nu_critical(eta, mu), nu_critical(eta, 0.0)
+        assert math.isnan(nc) or math.isnan(nc0) \
+            or nc <= nc0 + 1e-12 * (1.0 + abs(nc0))
 
 
 class TestGauss:
@@ -116,35 +183,55 @@ class TestNormalizer:
 
 
 class TestModifiedCurves:
+    MATCH_RADII = np.logspace(6, 9, 16)
+
     def test_plus_frozen_equals_critical(self):
         mc = modified_curve(1.0)
-        base = mc.base
-        assert np.allclose(mc.g_hat_coeffs(0.0), base.g_coeffs, atol=1e-14)
-        for lam in np.linspace(-4.0, 4.0, 20) + 0.37j:
-            for sheet in (1, 2, 3):
-                ghat = mc.g_hat_sheet(lam, sheet, 0.0)
-                from tau34.spectral_curve import g_sheet
-                assert abs(ghat - g_sheet(base, lam, sheet)) < 1e-10
+        frozen = mc.at(0.0)
+        assert frozen.params == mc.base.params
+        assert np.array_equal(frozen.g_coeffs, mc.base.g_coeffs)
 
     def test_minus_exact_cube_roots(self):
+        # on lam = u^3 the root series is U(tau) = tau and ghat is Theta
+        # itself: every Laurent coefficient is exactly zero
         mc = modified_curve(-1.0, None, lambda h: 0.3 * h ** 0.8)
-        rep = modified_matching_report(mc, 1e-2)
-        for (sheet, half), (slope, resid) in rep.items():
-            assert slope is None
-            assert resid < 1e-20
+        assert mc.base.a == 0.0 and mc.base.c == 0.0
+        for h in (1e-2, 1e-4):
+            ex = sc.laurent_at_infinity(mc.at(h), 8)
+            assert not np.any(ex.head) and not np.any(ex.tail)
+        # the kernel's roots are the omega-rotated principal cube roots
+        lam = 2.0 * np.exp(1j * np.array([0.9, 2.5, -0.9, -2.5]))
+        t = lam ** (1.0 / 3.0)
+        up = lam.imag > 0
+        w = sc.OMEGA
+        want = [t, t * np.where(up, w**2, w), t * np.where(up, w, w**2)]
+        assert np.allclose(sc.uniformize_all(mc.base, lam), want,
+                           rtol=4 * sc.EPS, atol=0.0)
 
-    def test_plus_matching_slopes(self):
-        sm = scaling_maps_plus(1.0, (0.0, -1.0), x=1.0)
-        rep = modified_matching_report(sm.mcurve, 1e-2)
-        for key, (slope, _) in rep.items():
-            assert abs(slope + 1.0 / 3.0) < 0.02, (key, slope)
+    @pytest.mark.parametrize("n_vec", [(0.0, -1.0), (1.0, 0.0), (0.2, -0.5)])
+    def test_plus_matching_slopes(self, n_vec):
+        sm = scaling_maps_plus(1.0, n_vec, x=1.0)
+        for h in (1e-2, 1e-4):
+            rep = sc.check_g_asymptotics(sm.mcurve.at(h),
+                                         radii=self.MATCH_RADII)
+            for key, (slope, _) in rep.items():
+                assert abs(slope + 1.0 / 3.0) < 0.02, (key, h, slope)
+
+    @pytest.mark.parametrize("h", [1e-2, 1e-4])
+    def test_plus_matching_against_sampled_mp_fit(self, h):
+        mc = scaling_maps_plus(1.0, (0.0, -1.0), x=1.0).mcurve
+        got = sc.check_g_asymptotics(mc.at(h), radii=self.MATCH_RADII)
+        want = sampled_matching_report(mc, h, self.MATCH_RADII)
+        assert got.keys() == want.keys()
+        for key, (slope, resid) in want.items():
+            assert abs(got[key][0] - slope) <= 1e-9, key
+            assert abs(got[key][1] / resid - 1.0) <= 1e-10, key
 
     def test_branch_point_location(self):
-        mc = modified_curve(1.0)
-        assert mc.u_star == pytest.approx(math.sqrt(5.0 / 6.0), rel=1e-14)
-        assert mc.alpha_hat == pytest.approx(
+        base = modified_curve(1.0).base
+        assert base.a == pytest.approx(math.sqrt(5.0 / 6.0), rel=1e-14)
+        assert base.alpha == pytest.approx(
             (5.0 / 3.0) * math.sqrt(5.0 / 6.0), rel=1e-14)
-        assert mc.alpha_hat == pytest.approx(mc.base.alpha, rel=1e-14)
 
 
 class TestScalingMaps:
@@ -164,7 +251,7 @@ class TestScalingMaps:
 
     def test_zeta_conformal(self):
         sm = scaling_maps_plus(1.0, (0.0, -1.0), x=1.0)
-        beta_hat = -sm.mcurve.alpha_hat
+        beta_hat = -sm.mcurve.base.alpha
         d = 1e-4
         der = (sm.zeta(beta_hat + 2.0 * d) - sm.zeta(beta_hat + d)) / d
         assert abs(der) > 1e-3
@@ -199,7 +286,7 @@ class TestScalingMaps:
         for lam in (0.3 + 0.2j, -0.4 + 0.5j, 1.2 + 0.01j):
             for sheet in (1, 2, 3):
                 j = perm[sheet]
-                gh = sm.mcurve.g_hat_sheet(lam, sheet, hb)
+                gh = sc.g_sheet(sm.mcurve.at(hb), lam, sheet)
                 ze = sm.zeta(lam)
                 xv = sm.x_of_lambda(lam, hb)
                 want = (-(6.0 / 5.0) * OM ** (1 - j) * ze ** (5.0 / 3.0)
@@ -257,7 +344,7 @@ class TestPainleve:
 
 
 class TestDegenerationConstant:
-    @pytest.mark.parametrize("eta0", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("eta0", [0.5, 1.0, 2.0, 300.0, 1000.0])
     def test_plus_stratum(self, eta0):
         c = tritronquee_constant(eta0, "plus")
         assert abs(c - INV_SQRT6) < 1e-6
@@ -277,7 +364,10 @@ class TestDegenerationConstant:
             c = tritronquee_constant(1.0, "plus", x=x)
             assert abs(c - INV_SQRT6) < 1e-6
 
-    @pytest.mark.parametrize("eta0", np.linspace(0.1, 3.0, 12))
+    # at 300 and 1000 np.roots once split the near-double root of the
+    # unshifted cubic into a complex pair, and Newton took the root -5 eta/6
+    @pytest.mark.parametrize("eta0",
+                             [*np.linspace(0.1, 3.0, 12), 300.0, 1000.0])
     def test_newton_root_matches_polyroots(self, eta0, monkeypatch):
         fast = (tritronquee_constant(eta0, "plus"),
                 tritronquee_constant(-eta0, "minus"))
