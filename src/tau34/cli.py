@@ -6,9 +6,12 @@ min:max:count[:log], comma-separated), --format csv|json, --out PATH,
 --tol-scale F, --config PATH.  Outputs are deterministic and
 bit-identical across runs; numbers are written with 17 significant digits.
 
-Exit codes: 0 success, 1 certification failure, 2 usage/config error.
+Exit codes: 0 success, 1 certification failure, 2 usage/config error or a
+solver failure (a point outside the domain, a Painleve I solve that meets a
+pole).
 """
 import argparse
+import functools
 import json
 import math
 import sys
@@ -353,7 +356,7 @@ def cmd_critical(args):
             q = float(cr.tauhat0_exponent(eta0, nu0, eta0))
             v = te.tau_leading(pd.Params(eta0, 0.0, nu0),
                                sigma=5.0 * eta0 / 3.0).varpi0
-            gap = abs(q - v)
+            gap = abs(q - v) / max(abs(q), abs(v), 1.0)
         except OverflowError:
             gap = math.inf
         # varpi0 grows like eta0^7: beyond about 1e44 it is not a double
@@ -379,6 +382,10 @@ PI_COLUMNS = ["x", "q", "qprime", "H", "H_residual"]
 
 
 def cmd_pi(args):
+    if not (math.isfinite(args.x_start) and math.isfinite(args.x_end)):
+        raise ConfigError("x-start and x-end must be finite")
+    if args.x_count < 2:
+        raise ConfigError("x-count must be >= 2")
     if args.x_start > -20.0:
         raise ConfigError("x-start must be <= -20 (asymptotic seed region)")
     tr = cr.pi_integrate(args.x_start, args.x_end, n_points=args.x_count)
@@ -398,7 +405,10 @@ def cmd_pi(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The `tau34` argument parser, built once per process and shared: parse
+    with it, do not modify it."""
     ap = argparse.ArgumentParser(
         prog="tau34",
         description="Spectral-curve and tau-function numerics for the "
@@ -472,7 +482,7 @@ def main(argv=None):
     try:
         args = apply_config(args, argv)
         report, columns = args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, cr.PoleEncountered) as exc:
         print(f"tau34: error: {exc}", file=sys.stderr)
         return 2
     report.wall_time = time.perf_counter() - t0

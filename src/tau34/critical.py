@@ -31,7 +31,7 @@ from .param_domain import DomainError, Params
 
 
 class PoleEncountered(RuntimeError):
-    """Painleve I trajectory blew up (movable pole)."""
+    """No pole-free Painleve I trajectory on the interval (movable pole)."""
 
 
 class InadmissibleDirection(ValueError):
@@ -354,7 +354,7 @@ class PITrajectory:
     q: np.ndarray
     qprime: np.ndarray
     H: np.ndarray
-    dense: object = None        # collocation interpolant x -> (q, q')
+    dense: object = None        # ChebInterpolant x -> (q, q'); nodes .x
 
     def state(self, i):
         return PIState(x=float(self.x[i]), q=float(self.q[i]),
@@ -396,6 +396,50 @@ def pi_seed(x):
     return q, qp
 
 
+@dataclass(frozen=True)
+class ChebInterpolant:
+    """x -> (q(x), q'(x)) from Chebyshev series on the collocation nodes
+    `x`."""
+    x: np.ndarray
+    q: object           # np.polynomial.Chebyshev on [x[0], x[-1]]
+    qprime: object      # the same for q'
+
+    def __call__(self, x):
+        return self.q(x), self.qprime(x)
+
+
+def _cheb_nodes(n, a, b):
+    """The n + 1 Chebyshev-Gauss-Lobatto points on [a, b], ascending, and
+    the differentiation matrix on them (Trefethen, Spectral Methods in
+    MATLAB, 2000, `cheb`)."""
+    j = np.arange(n + 1)
+    i, k = j[:, None], j
+    h = np.pi / (2 * n)
+    # s_i - s_k for s_j = -cos(2 j h), as a product of sines: no cancellation
+    ds = 2.0 * np.sin((i + k) * h) * np.sin((i - k) * h)
+    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    D = np.outer(c, 1.0 / c) / (ds + np.eye(n + 1))
+    D -= np.diag(D.sum(axis=1))
+    x = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(2 * j * h)
+    x[0], x[-1] = a, b
+    return x, D * (2.0 / (b - a))
+
+
+def _cheb_coeffs(v):
+    """Chebyshev coefficients of the interpolant through the values `v` at
+    the ascending nodes of `_cheb_nodes` (a DCT-I by a real FFT)."""
+    n = len(v) - 1
+    v = v[::-1]
+    c = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real / n
+    c[0] /= 2.0
+    c[n] /= 2.0
+    return c
+
+
+#: node-count cap of `pi_integrate`: n doubles from 64 up to this
+PI_MAX_N = 1024
+
+
 def pi_integrate(x_start, x_end, n_points=512, tol=1e-11, blowup=1e6):
     """Solve q'' = 6 q^2 + x on [x_start, x_end], seeded at x_start.
 
@@ -403,22 +447,42 @@ def pi_integrate(x_start, x_end, n_points=512, tol=1e-11, blowup=1e6):
     pole-free branch is a connection problem: the linearization carries a
     mode growing like exp(int sqrt(12 q)), which makes a plain forward
     march lose the branch within a few units (and blow up at a spurious
-    movable pole).  The trajectory is therefore computed by collocation
-    with the seed value at the left end and a decaying-direction Robin
-    condition at the right end, which suppresses the growing mode where it
-    would amplify.
+    movable pole).  The trajectory is therefore computed as a
+    boundary-value problem: the seed value at the left end, and a
+    decaying-direction Robin condition at the right end, which suppresses
+    the growing mode where it would amplify.
+
+    Method: Chebyshev collocation (Trefethen 2000; Fornberg & Weideman,
+    J. Comput. Phys. 2011, solve the pole-free segments of PI the same
+    way).  On the n + 1 Chebyshev-Gauss-Lobatto points of [x_start, x_end]
+    the equation reads D^2 q = 6 q^2 + x, with its first and last rows
+    replaced by the two boundary conditions; Newton's method solves it
+    with dense linear solves, from q = sqrt(max(-x, 1e-3)/6) at n = 64 and
+    from the previous interpolant after that.  n doubles while the
+    trailing eighth of the Chebyshev coefficients of q exceeds `tol`
+    relative to the largest one, up to n = PI_MAX_N: [-24, -1] and
+    [-30, -1] take n = 64, [-40, 0] takes 128 and [-1e4, -1] takes 1024.
+
+    `dense` holds the Chebyshev interpolant of q through the nodes
+    (`dense.x`), and q' as the integral of 6 q^2 + x from the Robin value
+    at x_end.  The trajectory is `dense` on `n_points` equispaced points.
+
+    Raises PoleEncountered where no pole-free solution is found (a movable
+    pole on or near the interval, as on [-24, 3]): Newton's method does
+    not converge in 30 steps, the coefficients have not decayed at
+    n = PI_MAX_N, or |q| exceeds `blowup` on the output grid.
 
     Near the right end the computed trajectory can deviate from the true
     pole-free branch at the neighboring-solution scale exp(-(4/5) 12^(1/2)
     6^(-1/4) (-x)^(5/4)); it remains an accurate solution of the equation
     itself throughout (the Hamiltonian identity is unaffected).
     """
-    from scipy.integrate import solve_bvp
-
     if x_start > -20.0:
         raise ValueError("x_start must be <= -20 (asymptotic seed region)")
     if x_end <= x_start:
         raise ValueError("x_end must exceed x_start")
+    from numpy.polynomial import Chebyshev
+
     q_left, _ = pi_seed(x_start)
     if x_end < 0.0:
         w_r, wp_r = pi_seed(x_end)
@@ -426,26 +490,58 @@ def pi_integrate(x_start, x_end, n_points=512, tol=1e-11, blowup=1e6):
         w_r, wp_r = 0.0, -1.0
     slope = -math.sqrt(12.0 * max(w_r, 0.05))
 
-    def rhs(x, y):
-        return np.vstack([y[1], 6.0 * y[0] ** 2 + x])
-
-    def bc(ya, yb):
-        return np.array([ya[0] - q_left,
-                         yb[1] - wp_r - slope * (yb[0] - w_r)])
-
-    mesh = np.linspace(x_start, x_end, 801)
-    guess = np.vstack([np.sqrt(np.maximum(-mesh, 1e-3) / 6.0),
-                       -1.0 / (12.0 * np.sqrt(np.maximum(-mesh, 1e-3) / 6.0))])
-    sol = solve_bvp(rhs, bc, mesh, guess, tol=tol, max_nodes=400000)
-    if not sol.success:
-        raise PoleEncountered(f"collocation failed: {sol.message}")
+    n, interp = 64, None
+    while True:
+        x, D = _cheb_nodes(n, x_start, x_end)
+        D2 = D @ D
+        q = (np.sqrt(np.maximum(-x, 1e-3) / 6.0) if interp is None
+             else interp(x))
+        converged = False
+        for _ in range(30):
+            F = D2 @ q - 6.0 * q * q - x
+            J = D2 - np.diag(12.0 * q)
+            F[0] = q[0] - q_left
+            J[0] = 0.0
+            J[0, 0] = 1.0
+            F[-1] = D[-1] @ q - wp_r - slope * (q[-1] - w_r)
+            J[-1] = D[-1]
+            J[-1, -1] -= slope
+            try:
+                dq = np.linalg.solve(J, F)
+            except np.linalg.LinAlgError:
+                break
+            q = q - dq
+            # a nan step fails this test
+            converged = (np.max(np.abs(dq))
+                         <= 1e-13 * (1.0 + np.max(np.abs(q))))
+            if converged or not np.all(np.isfinite(q)):
+                break
+        if not converged:
+            raise PoleEncountered(
+                f"no pole-free solution on [{x_start!r}, {x_end!r}]: Newton's "
+                f"method did not converge on {n + 1} Chebyshev nodes")
+        c = _cheb_coeffs(q)
+        interp = Chebyshev(c, domain=[x_start, x_end])
+        if np.max(np.abs(c[-(n // 8):])) <= tol * np.max(np.abs(c)):
+            break
+        if n >= PI_MAX_N:
+            raise PoleEncountered(
+                f"no pole-free solution on [{x_start!r}, {x_end!r}]: the "
+                f"Chebyshev coefficients do not fall below {tol!r} on "
+                f"{n + 1} nodes")
+        n *= 2
+    # q' integrates q'' = 6 q^2 + x back from the Robin value at x_end:
+    # differentiating the interpolant amplifies the rounding of q by ~n^2
+    # (1e-12 at x_start on [-40, 0], against 1e-13 this way)
+    qpp = Chebyshev(_cheb_coeffs(6.0 * q * q + x), domain=[x_start, x_end])
+    qprime = qpp.integ(lbnd=x_end) + (wp_r + slope * (q[-1] - w_r))
+    dense = ChebInterpolant(x=x, q=interp, qprime=qprime)
     xs = np.linspace(x_start, x_end, n_points)
-    vals = sol.sol(xs)
-    q, qp = vals[0], vals[1]
+    q, qp = dense(xs)
     if np.max(np.abs(q)) > blowup:
         raise PoleEncountered("trajectory magnitude exceeded the pole guard")
     return PITrajectory(x=xs, q=q, qprime=qp, H=pi_hamiltonian(xs, q, qp),
-                        dense=sol.sol)
+                        dense=dense)
 
 
 def schlesinger_factor(lam, state, s, hbar):

@@ -105,6 +105,11 @@ class TestParser:
         assert main(argv) == 2
         assert "usage: tau34" in capsys.readouterr().err
 
+    def test_parser_built_once(self, capsys):
+        parser = build_parser()
+        assert run(capsys, "sigma")[0] == 0
+        assert build_parser() is parser
+
 
 class TestSigma:
     def test_point_row(self, capsys):
@@ -255,9 +260,10 @@ class TestCertify:
         assert out.stdout.strip() == "False"
 
     def test_point_commands_do_not_import_scipy(self, tmp_path):
+        # pi: the Painleve I solve is numpy collocation, not solve_bvp
         code = ("import sys; from tau34.cli import main; "
                 "[main([cmd, '--mu=0.05', '--out', sys.argv[1]]) "
-                "for cmd in ('certify', 'sigma', 'parametrix')]; "
+                "for cmd in ('certify', 'sigma', 'parametrix', 'pi')]; "
                 "print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy'))")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -312,6 +318,19 @@ class TestOutputs:
         code, _, _ = run(capsys, "pi", "--x-start", "-10")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["--x-end", "nan"], ["--x-start", "nan"],
+                                      ["--x-end", "inf"], ["--x-count", "0"],
+                                      ["--x-count", "1"]])
+    def test_pi_bad_inputs_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, "pi", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("tau34: error: x-")
+
+    def test_pi_pole_exit_two(self, capsys):
+        code, out, err = run(capsys, "pi", "--x-end", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("tau34: error: no pole-free solution")
+
 
 class TestConfigFile:
     def test_file_and_override(self, tmp_path, capsys):
@@ -363,6 +382,8 @@ class TestOther:
         row = out.strip().splitlines()[1].split(",")
         for c in row[-2:]:
             assert abs(float(c) - 6.0 ** -0.5) < 1e-6
+        # the gap is relative: the two exponents are of size eta0^7
+        assert float(row[4]) <= 1e-13
 
     @pytest.mark.parametrize("eta", ["1e60", "1e120"])
     def test_critical_overflowing_eta_exit_two(self, capsys, eta):

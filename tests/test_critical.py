@@ -79,6 +79,31 @@ def sampled_matching_report(mcurve, hbar, radii, dps=50):
     return report
 
 
+def _reference_pi_integrate(x_start, x_end, xs, tol=1e-11):
+    """Test-only oracle: the boundary-value problem of `pi_integrate` (seed
+    value at x_start, Robin condition at x_end, the same initial guess)
+    solved by scipy's `solve_bvp`; returns (q, q') at xs."""
+    from scipy.integrate import solve_bvp
+
+    q_left, _ = pi_seed(x_start)
+    w_r, wp_r = pi_seed(x_end) if x_end < 0.0 else (0.0, -1.0)
+    slope = -math.sqrt(12.0 * max(w_r, 0.05))
+
+    def rhs(x, y):
+        return np.vstack([y[1], 6.0 * y[0] ** 2 + x])
+
+    def bc(ya, yb):
+        return np.array([ya[0] - q_left,
+                         yb[1] - wp_r - slope * (yb[0] - w_r)])
+
+    mesh = np.linspace(x_start, x_end, 801)
+    root = np.sqrt(np.maximum(-mesh, 1e-3) / 6.0)
+    sol = solve_bvp(rhs, bc, mesh, np.vstack([root, -1.0 / (12.0 * root)]),
+                    tol=tol, max_nodes=400000)
+    assert sol.success, sol.message
+    return sol.sol(xs)
+
+
 class TestSurface:
     def test_gamma_plus_in_surface(self):
         d = float(surface_discriminant(Params(1.0, 0.0, 125.0 / 108.0)))
@@ -322,6 +347,45 @@ class TestPainleve:
             qa = tr_a.dense(x)[0]
             qb = tr_b.dense(x)[0]
             assert abs(qa - qb) < 1e-6
+
+    @pytest.mark.parametrize("x_start, x_end", [(-24.0, -1.0), (-30.0, -1.0),
+                                                (-40.0, 0.0), (-100.0, -1.0)])
+    def test_matches_solve_bvp(self, x_start, x_end):
+        tr = pi_integrate(x_start, x_end, n_points=512)
+        q_ref, qp_ref = _reference_pi_integrate(x_start, x_end, tr.x)
+        assert np.all(np.abs(tr.q - q_ref) <= 1e-10 * (1.0 + np.abs(q_ref)))
+        assert np.all(np.abs(tr.qprime - qp_ref)
+                      <= 1e-10 * (1.0 + np.abs(qp_ref)))
+
+    def test_chebyshev_node_counts(self):
+        # n doubles from 64 while the coefficients have not decayed
+        assert [len(pi_integrate(a, b).dense.x)
+                for a, b in ((-24.0, -1.0), (-30.0, -1.0), (-40.0, 0.0))] \
+            == [65, 65, 129]
+
+    def test_pole_raises_within_node_cap(self, monkeypatch):
+        sizes = []
+        nodes = cr._cheb_nodes
+
+        def counted(n, a, b):
+            sizes.append(n)
+            return nodes(n, a, b)
+
+        monkeypatch.setattr(cr, "_cheb_nodes", counted)
+        with pytest.raises(cr.PoleEncountered):
+            pi_integrate(-24.0, 3.0)
+        assert sizes and max(sizes) <= cr.PI_MAX_N
+
+    def test_long_interval(self):
+        # solve_bvp takes about 15 s here; the coefficients need n = 1024
+        tr = pi_integrate(-1e4, -1.0)
+        assert len(tr.dense.x) <= cr.PI_MAX_N + 1
+        assert tr.q[0] == pytest.approx(pi_seed(-1e4)[0], abs=1e-12)
+        short = pi_integrate(-100.0, -1.0)
+        for x in (-50.0, -10.0, -2.0):
+            assert abs(tr.dense(x)[0] - short.dense(x)[0]) < 1e-10
+        resid = tr.hamiltonian_residuals()
+        assert np.max(resid / (1.0 + np.abs(tr.H))) < 1e-10
 
     def test_seed_hamiltonian_consistency(self):
         q0, qp0 = pi_seed(-24.0)
