@@ -7,8 +7,8 @@ degeneration."""
 __version__ = "0.1.0"
 
 from .param_domain import (ABCoords, BoundaryReached, Params, eval_P,
-                           in_domain_D, jacobian_abc, map_abc, sigma_jets,
-                           solve_sigma, viete_roots)
+                           in_domain_D, map_abc, sigma_jets, solve_sigma,
+                           viete_roots)
 from .spectral_curve import (SpectralCurve, branch_coeffs, build_curve,
                              check_g_asymptotics, g_sheet, theta_phase,
                              uniformize)
@@ -16,6 +16,6 @@ from .spectral_curve import (SpectralCurve, branch_coeffs, build_curve,
 __all__ = [
     "ABCoords", "BoundaryReached", "Params", "SpectralCurve",
     "branch_coeffs", "build_curve", "check_g_asymptotics", "eval_P",
-    "g_sheet", "in_domain_D", "jacobian_abc", "map_abc", "sigma_jets",
-    "solve_sigma", "theta_phase", "uniformize", "viete_roots",
+    "g_sheet", "in_domain_D", "map_abc", "sigma_jets", "solve_sigma",
+    "theta_phase", "uniformize", "viete_roots",
 ]

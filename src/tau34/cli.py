@@ -41,10 +41,6 @@ class RunReport:
     n_failed: int
     wall_time: float
 
-    @property
-    def passed(self):
-        return self.n_failed == 0
-
 
 def fmt(value):
     if isinstance(value, bool):
@@ -211,12 +207,11 @@ def certify_point(pt, tol_scale, stokes_ok=None):
         worst = math.nan    # no slope to report; nan <= tol fails the row
     add("g-asymptotics-slope", worst, 0.02 * tol_scale)
 
-    gp = px.GlobalParametrix(curve=curve)
-    jr = px.jump_residuals(gp)
+    jr = px.jump_residuals(curve)
     add("M-jump-alpha", jr["alpha"], 1e-10 * tol_scale)
     add("M-jump-beta", jr["beta"], 1e-10 * tol_scale)
     add("M-normalization-slope",
-        abs(px.normalization_slope(gp) + 1.0), 0.05 * tol_scale)
+        abs(px.normalization_slope(curve) + 1.0), 0.05 * tol_scale)
 
     if stokes_ok is None:
         stokes_ok = stokes_verdict()
@@ -322,15 +317,14 @@ def cmd_parametrix(args):
         records.append({"kind": "airy", "key": f"t_{k}", "value": str(co.t[k])})
     p = pd.Params(args.eta, args.mu, args.nu)
     curve = sc.build_curve(p)
-    gp = px.GlobalParametrix(curve=curve)
-    jr = px.jump_residuals(gp)
+    jr = px.jump_residuals(curve)
     records.append({"kind": "parametrix", "key": "jump_alpha",
                     "value": jr["alpha"]})
     records.append({"kind": "parametrix", "key": "jump_beta",
                     "value": jr["beta"]})
     records.append({"kind": "parametrix", "key": "normalization_slope",
-                    "value": px.normalization_slope(gp)})
-    rd = px.residue_W1(gp)
+                    "value": px.normalization_slope(curve)})
+    rd = px.residue_W1(curve)
     for i in range(3):
         for j in range(3):
             records.append({"kind": "residue", "key": f"W1_{i+1}{j+1}",

@@ -140,14 +140,9 @@ def gauss_angle(eta):
 GAUSS_ANGLE_ARGMAX = 2.0 * 3.0**0.75 / (5.0 * math.sqrt(5.0))
 
 
-def gauss_angle_max(lo=1e-3, hi=2.0, tol=1e-10):
-    """(eta*, angle*) located by bounded golden-section minimization."""
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(lambda e: -gauss_angle(e), bounds=(lo, hi),
-                          method="bounded",
-                          options={"xatol": tol})
-    return float(res.x), float(-res.fun)
+def gauss_angle_max():
+    """(eta*, angle*) at the maximum of gauss_angle, eta* in closed form."""
+    return GAUSS_ANGLE_ARGMAX, gauss_angle(GAUSS_ANGLE_ARGMAX)
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +335,6 @@ def x_limit_plus(maps, x, hbars=(1e-3, 1e-4), deltas=(2e-2, 1e-2, 5e-3)):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PIState:
-    x: float
-    q: float
-    qprime: float
-    H: float
-    kappa: int = 1
-
-
-@dataclass(frozen=True)
 class PITrajectory:
     x: np.ndarray
     q: np.ndarray
@@ -356,26 +342,13 @@ class PITrajectory:
     H: np.ndarray
     dense: object = None        # ChebInterpolant x -> (q, q'); nodes .x
 
-    def state(self, i):
-        return PIState(x=float(self.x[i]), q=float(self.q[i]),
-                       qprime=float(self.qprime[i]), H=float(self.H[i]))
-
-    def hamiltonian_residuals(self, xs=None, step=3e-3):
-        """|dH/dx + q| by five-point differencing of the dense solution."""
-        if xs is None:
-            xs = self.x
-        xs = np.asarray(xs, dtype=float)
-        lo, hi = float(self.x[0]), float(self.x[-1])
-        xs = np.clip(xs, lo + 2 * step, hi - 2 * step)
-        stencil = np.array([-2.0, -1.0, 1.0, 2.0]) * step
-        weights = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * step)
-        hvals = []
-        for off in stencil:
-            qq, qp = self.dense(xs + off)[:2]
-            hvals.append(pi_hamiltonian(xs + off, qq, qp))
-        d = sum(w * h for w, h in zip(weights, hvals))
-        qmid = self.dense(xs)[0]
-        return np.abs(d + qmid)
+    def hamiltonian_residuals(self):
+        """|dH/dx + q| = |p p' - (6 q^2 + x) q'| at the points x, with q and
+        p = q' the two Chebyshev series of `dense` and ' their exact
+        derivatives."""
+        x, q, p = self.x, self.q, self.qprime
+        return np.abs(p * self.dense.qprime.deriv()(x)
+                      - (6.0 * q * q + x) * self.dense.q.deriv()(x))
 
 
 def pi_hamiltonian(x, q, qprime):
@@ -544,28 +517,6 @@ def pi_integrate(x_start, x_end, n_points=512, tol=1e-11, blowup=1e6):
                         dense=dense)
 
 
-def schlesinger_factor(lam, state, s, hbar):
-    """Triangular gauge factor of the minus-stratum analysis.
-
-    p(lam) = I - h^(1/5) H E31/(c lam)
-             + h^(2/5) (H^2 - q)(E32 - E21)/(2 c^2 lam)
-             - h^(4/5) (H^2 - q)^2 E31/(8 c^4 lam^2),  c = (5s/6)^(1/5).
-
-    Strictly lower triangular corrections: det = 1 identically.
-    """
-    if lam == 0:
-        raise ZeroDivisionError("lam = 0 is a pole of the factor")
-    c = (5.0 * s / 6.0) ** 0.2
-    H = state.H
-    w = H * H - state.q
-    m = np.eye(3, dtype=complex)
-    m[2, 0] += (-hbar ** 0.2 * H / (c * lam)
-                - hbar ** 0.8 * w * w / (8.0 * c**4 * lam * lam))
-    m[2, 1] += hbar ** 0.4 * w / (2.0 * c * c * lam)
-    m[1, 0] += -hbar ** 0.4 * w / (2.0 * c * c * lam)
-    return m
-
-
 def tauhat0_exponent(eta, nu, eta0):
     """Quadratic normalizer exponent at the plus-stratum point eta0.
 
@@ -604,8 +555,7 @@ def _largest_real_root(mp, b, d):
     return +s
 
 
-def tritronquee_constant(eta0, side, n_vec=(0.0, -1.0), x=-1.0,
-                         hbars=(1e-10, 1e-10 / 32.0), dps=40):
+def tritronquee_constant(eta0, side, n_vec=(0.0, -1.0), x=-1.0, dps=40):
     """Leading coefficient of the double-scaled branch root against
     sqrt(-x); equals 6^(-1/2) on both strata.
 
@@ -618,17 +568,22 @@ def tritronquee_constant(eta0, side, n_vec=(0.0, -1.0), x=-1.0,
     Shifted to its double point at the stratum (s = 5 eta_hat/3, resp.
     s = 0) it reads t^3/2 + b t^2 + d with b > 0 > d, where d is the
     O(h^(4/5)) drift written without the O(eta0^3) cancellation; its root
-    t is solved in mpmath.  A two-point Richardson step in h^(2/5) removes
-    the leading splitting correction.
+    t is solved in mpmath.  A two-point Richardson step in h^(2/5), on
+    h = 1e-10 and 1e-10/32, removes the leading splitting correction.
+    Since b is O(|eta0|) and d is O(|eta0|^(1/5) h^(4/5)), both h are
+    scaled by min(1, |eta0|)^(7/2) (in mpmath: it underflows a double), so
+    that d/b^3, which sets the size of that correction, does not grow as
+    eta0 -> 0.
     """
     import mpmath
     mp = mpmath.mp.clone()
     mp.dps = dps
     if x >= 0:
         raise ValueError("x must be negative (real splitting side)")
+    scale = min(mp.mpf(1), abs(mp.mpf(eta0))) ** mp.mpf("3.5")
     vals = []
-    for h in hbars:
-        hm = mp.mpf(h)
+    for h in (1e-10, 1e-10 / 32.0):
+        hm = mp.mpf(h) * scale
         if side == "plus":
             if eta0 <= 0:
                 raise DomainError("plus stratum needs eta0 > 0")
@@ -654,108 +609,7 @@ def tritronquee_constant(eta0, side, n_vec=(0.0, -1.0), x=-1.0,
         else:
             raise ValueError("side must be 'plus' or 'minus'")
         vals.append(val)
-    # two-point Richardson in h^(2/5): hbars with ratio 32 give factor 4
-    t = (mp.mpf(hbars[0]) / mp.mpf(hbars[1])) ** mp.mpf("0.4")
+    # two-point Richardson in h^(2/5): the h ratio 32 gives the factor 4
+    t = mp.mpf(32) ** mp.mpf("0.4")
     extrap = (t * vals[1] - vals[0]) / (t - 1)
     return float(extrap)
-
-
-# ---------------------------------------------------------------------------
-# Painleve I Riemann-Hilbert data (2x2 and 3x3), stored for reuse
-# ---------------------------------------------------------------------------
-
-def pi_rhp_2x2(kappa=1):
-    """Sector jump data of the 2x2 tronquee problem.
-
-    Rays at arg = 2 pi k/5 (k = +-1, +-2) plus the negative axis; the
-    cyclic (counterclockwise) product of the jumps is the identity for
-    every kappa.
-    """
-    up = np.array([[1, kappa], [0, 1]], dtype=float)
-    dn = np.array([[1, 1 - kappa], [0, 1]], dtype=float)
-    lo = np.array([[1, 0], [-1, 1]], dtype=float)
-    ax = np.array([[0, -1], [1, 0]], dtype=float)
-    return {
-        2 * math.pi / 5: up,
-        4 * math.pi / 5: lo,
-        math.pi: ax,
-        -4 * math.pi / 5: lo,
-        -2 * math.pi / 5: dn,
-    }
-
-
-def pi_phi_coefficients(state):
-    """Phi_1 and Phi_2 of the 2x2 asymptotic expansion from a PI state."""
-    H, q = state.H, state.q
-    phi1 = np.diag([-H, H]).astype(float)
-    phi2 = 0.5 * np.array([[H * H, q], [q, H * H]])
-    return phi1, phi2
-
-
-PI3_PATTERN = {
-    1: (1, 3), 2: (2, 3), 3: (2, 1), 4: (3, 1), 5: (3, 2),
-    -5: (2, 3), -4: (2, 1), -3: (3, 1), -2: (3, 2), -1: (1, 2),
-}
-
-
-def pi3_stokes_values(kappa=1):
-    """s_1..s_5 of the 3x3 problem; negative rays carry s_{-k} = -s_{6-k}."""
-    return (1 - kappa, -1, 0, -1, kappa)
-
-
-def pi3_matrices(kappa=1):
-    """All ray matrices of the 3x3 problem keyed by ray index."""
-    from .parametrix import identity3, _exact
-    s = pi3_stokes_values(kappa)
-    vals = {k: s[k - 1] for k in range(1, 6)}
-    vals.update({-k: -s[6 - k - 1] for k in range(1, 6)})
-    out = {}
-    for k, (i, j) in PI3_PATTERN.items():
-        m = identity3()
-        m[i - 1][j - 1] += _exact(vals[k])
-        out[k] = m
-    return out
-
-
-def pi3_stokes_relation(kappa=1):
-    """Exact check of S_1...S_5 Scal^T == Scal (S_1...S_5)^T."""
-    from .parametrix import identity3, _matmul3, SCAL
-    mats = pi3_matrices(kappa)
-    prod = identity3()
-    for k in range(1, 6):
-        prod = _matmul3(prod, mats[k])
-    scal = [[Fraction(SCAL[i][j]) for j in range(3)] for i in range(3)]
-    scal_t = [[Fraction(SCAL[j][i]) for j in range(3)] for i in range(3)]
-    lhs = _matmul3(prod, scal_t)
-    prod_t = [[prod[j][i] for j in range(3)] for i in range(3)]
-    rhs = _matmul3(scal, prod_t)
-    return lhs == rhs
-
-
-def pi3_cyclic_identity(kappa=1):
-    """Counterclockwise product of all 3x3 jumps (with the cyclic matrix on
-    the negative axis) equals the identity."""
-    from .parametrix import identity3, _matmul3, SCAL
-    mats = pi3_matrices(kappa)
-    prod = identity3()
-    for k in (1, 2, 3, 4, 5):
-        prod = _matmul3(prod, mats[k])
-    scal = [[Fraction(SCAL[i][j]) for j in range(3)] for i in range(3)]
-    prod = _matmul3(prod, scal)
-    for k in (-5, -4, -3, -2, -1):
-        prod = _matmul3(prod, mats[k])
-    return prod == identity3()
-
-
-def pi3_expansion_coeffs(state):
-    """Xi_1 and Xi_2 of the 3x3 expansion; both satisfy the cyclic symmetry
-    w^(-k) Scal^T Xi_k Scal = Xi_k."""
-    w = sc.OMEGA
-    H, q = state.H, state.q
-    xi1 = np.diag([-H, -w**2 * H, -w * H])
-    xi2 = np.array([
-        [0.5 * H * H, (w - 1) / 6.0 * q, (w**2 - 1) / 6.0 * q],
-        [(1 - w) / 6.0 * q, 0.5 * w * H * H, (w**2 - w) / 6.0 * q],
-        [(1 - w**2) / 6.0 * q, (w - w**2) / 6.0 * q, 0.5 * w**2 * H * H],
-    ])
-    return xi1, xi2

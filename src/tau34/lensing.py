@@ -7,9 +7,10 @@ Four contour families are certified for each curve:
     lens-alpha     Re(g3 - g2) < 0 on the lens boundaries around [alpha, inf)
     lens-beta      Re(g2 - g1) < 0 on the lens boundaries around (-inf, beta]
 
-plus the u-plane separation of the cut preimages (hyperbola) from the
-zero set of Im Y (the sign-change curve of Re g), which is what makes the
-sign conditions global.
+`gamma_C_separation` measures the u-plane separation of the cut preimages
+(hyperbola) from the zero set of Im Y (the sign-change curve of Re g), which
+is what would make the sign conditions global.  `certify` does not run it:
+only tests do, at given (a, b, c).
 
 Contours bend smoothly from a departure angle inside the local sector at
 the anchor to their asymptotic direction over the first unit of arclength;

@@ -12,10 +12,9 @@ nu = nu_critical(eta, mu) handled in `critical`, where the root collides
 with another one.
 
 P is strictly convex above max(5*eta/3, 0), so this module finds the root
-by Newton's method started to the right of it; it also manages the
-(a, b, c) <-> (eta, mu, nu) coordinate systems of the uniformized spectral
-curve, and produces derivative towers of the root by implicit
-differentiation.
+by Newton's method started to the right of it; it also maps the
+(a, b, c) coordinates of the uniformized spectral curve to (eta, mu, nu),
+and produces derivative towers of the root by implicit differentiation.
 """
 import math
 from dataclasses import dataclass
@@ -219,31 +218,6 @@ def map_abc(q):
     mu = c * (b - 2.0 * a * a)
     nu = 8.0 * a**6 - 3.0 * a**4 * b - (2.0 / 3.0) * c * c
     return Params(eta, mu, nu), 2.0 * a * a
-
-
-def jacobian_abc(q):
-    """|d(eta,mu,nu)/d(a,b,c)| = (4/5)|a (6a^3-3ab+2c)(6a^3-3ab-2c)|.
-
-    (The 3/5 of the eta-map belongs in the prefactor; finite differences of
-    map_abc confirm 4/5.)
-    """
-    a, b, c = q.a, q.b, q.c
-    f = 6.0 * a**3 - 3.0 * b * a
-    return 0.8 * abs(a * (f + 2.0 * c) * (f - 2.0 * c))
-
-
-def inverse_abc(p, sigma=None):
-    """Numeric inverse of map_abc on the domain (a > 0 convention).
-
-    a = sqrt(s/2), b = 2 s - 5 eta/3, c = -3 mu/(5 eta - 3 s) with s the
-    distinguished root; the a < 0 mirror corresponds to (a, c) -> (-a, -c).
-    """
-    if sigma is None:
-        sigma = solve_sigma(p).sigma
-    a = math.sqrt(sigma / 2.0)
-    b = 2.0 * sigma - 5.0 * p.eta / 3.0
-    c = -3.0 * p.mu / (5.0 * p.eta - 3.0 * sigma) if p.mu != 0.0 else 0.0
-    return ABCoords(a=a, b=b, c=c)
 
 
 def in_domain_D(p):

@@ -15,12 +15,13 @@ the uniformization coordinates; the first small-norm correction is the
 residue W1 of M (P1 (+) 0) M^-1 at the left branch point, computed by circle
 quadrature (the integrand is single-valued around the point).
 
-M is evaluated on arrays: `global_M` and `global_M_side` take an array of
-lam (or x) and return an (..., 3, 3) stack from one root-kernel call (one
-stacked companion-matrix eigenvalue call on the cuts), and a scalar still
-gives a 3x3 matrix.  The residue quadrature, the jump residuals and the
-normalization fit each evaluate all their points in one such call and use
-stacked numpy linear algebra; sums run in node order.
+M is evaluated on arrays: `global_M` and `global_M_side` take the
+`SpectralCurve` and an array of lam (or x) and return an (..., 3, 3) stack
+from one root-kernel call (one stacked companion-matrix eigenvalue call on
+the cuts), and a scalar still gives a 3x3 matrix.  The residue
+quadrature, the jump residuals and the normalization fit each evaluate all
+their points in one such call and use stacked numpy linear algebra; sums
+run in node order.
 """
 import cmath
 import math
@@ -96,11 +97,6 @@ def identity3():
     return [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
 
 
-def _matmul3(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
-            for i in range(3)]
-
-
 def _stokes_product(data):
     """S_-7 ... S_-1 S_1 ... S_7, exact.  Right-multiplying by
     S_k = I + s_k E_ij adds s_k times column i to column j."""
@@ -170,35 +166,28 @@ def airy_series(kmax):
     return AiryCoeffs(s=tuple(s), t=tuple(t))
 
 
-def P_k_matrix(k, zeta, coeffs=None):
-    """P_k(zeta) = (1/2) [[1,-i],[-i,1]] diag(s_k,t_k) [[(-1)^k, i],
-    [(-1)^k i, 1]] (2/3 zeta^(3/2))^(-k), principal zeta^(3/2)."""
+def P_k_factor(k):
+    """The zeta-free factor (1/2) [[1,-i],[-i,1]] diag(s_k,t_k)
+    [[(-1)^k, i], [(-1)^k i, 1]] of P_k."""
+    coeffs = airy_series(k)
+    A = np.array([[1.0, -1.0j], [-1.0j, 1.0]])
+    D = np.diag([float(coeffs.s[k]), float(coeffs.t[k])])
+    B = np.array([[(-1.0) ** k, 1.0j], [(-1.0) ** k * 1.0j, 1.0]])
+    return 0.5 * (A @ D @ B)
+
+
+def P_k_matrix(k, zeta):
+    """P_k(zeta) = P_k_factor(k) (2/3 zeta^(3/2))^(-k), principal
+    zeta^(3/2)."""
     zeta = complex(zeta)
     if zeta.real <= 0.0 and zeta.imag == 0.0:
         raise ValueError("zeta on (-inf, 0] is on the branch cut")
-    if coeffs is None:
-        coeffs = airy_series(k)
-    sk = float(coeffs.s[k])
-    tk = float(coeffs.t[k])
-    A = np.array([[1.0, -1.0j], [-1.0j, 1.0]])
-    D = np.diag([sk, tk])
-    B = np.array([[(-1.0) ** k, 1.0j], [(-1.0) ** k * 1.0j, 1.0]])
-    x = ((2.0 / 3.0) * zeta ** 1.5) ** (-k)
-    return 0.5 * (A @ D @ B) * x
+    return P_k_factor(k) * ((2.0 / 3.0) * zeta ** 1.5) ** (-k)
 
 
 # ---------------------------------------------------------------------------
 # global parametrix
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GlobalParametrix:
-    curve: object
-
-    @property
-    def sigma(self):
-        return self.curve.sigma
-
 
 @dataclass(frozen=True)
 class ResidueData:
@@ -235,11 +224,10 @@ def _M_off_cut(curve, lam):
     return u, M
 
 
-def global_M(gp, lam):
+def global_M(curve, lam):
     """The 3x3 parametrix M_ij(lam) = phi_i(u_j(lam)), with the column-2
     sign flip in the lower half plane; Im lam = 0 is treated as the upper
     limit.  An array of lam gives a stack of shape lam.shape + (3, 3)."""
-    curve = gp.curve
     lam = np.asarray(lam, dtype=complex)
     flat = lam.ravel()
     near = np.minimum(np.abs(flat - curve.alpha), np.abs(flat - curve.beta))
@@ -251,16 +239,15 @@ def global_M(gp, lam):
                                    | (flat.real < curve.beta))
     M = np.empty((flat.size, 3, 3), dtype=complex)
     if on_cut.any():
-        M[on_cut] = global_M_side(gp, flat.real[on_cut], "+")
+        M[on_cut] = global_M_side(curve, flat.real[on_cut], "+")
     if not on_cut.all():
         M[~on_cut] = _M_off_cut(curve, flat[~on_cut])[1]
     return M.reshape(lam.shape + (3, 3))
 
 
-def global_M_side(gp, x, side):
+def global_M_side(curve, x, side):
     """Exact boundary value of M on a cut (side '+' = upper limit).  An
     array of x gives a stack of shape x.shape + (3, 3)."""
-    curve = gp.curve
     x = np.asarray(x, dtype=float)
     u = _cut_side_roots(curve, x.ravel())
     if side == "-":
@@ -304,13 +291,14 @@ REFLECT_LEFT = np.diag([1.0, -1.0, 1.0]).astype(complex)
 REFLECT_RIGHT = np.array([[0, 0, -1], [0, 1, 0], [-1, 0, 0]], dtype=complex)
 
 
-def residue_W1(gp, radius_factor=1e-2, n_nodes=256, agreement=1e-8,
+def residue_W1(curve, radius_factor=1e-2, n_nodes=256, agreement=1e-8,
                max_shrink=4):
     """W1 = Res at beta of M (P1 (+) 0) M^-1, by circle quadrature.
 
-    P1 is evaluated through (2/3 zeta^(3/2))^(-1) = 2/(g2 - g1), which makes
-    the integrand single-valued around the point.  Two radii (r, r/2) must
-    agree to `agreement`; the radius auto-shrinks a few times otherwise.
+    P1 is `P_k_factor(1)` times (2/3 zeta^(3/2))^(-1) = 2/(g2 - g1), which
+    makes the integrand single-valued around the point.  Two radii (r, r/2)
+    must agree to `agreement`; the radius auto-shrinks a few times
+    otherwise.
     W1_hat is diag(1,-1,1) W1(mu -> -mu) diag(1,-1,1).
 
     Each radius is one batched evaluation over all n_nodes midpoint nodes:
@@ -319,12 +307,8 @@ def residue_W1(gp, radius_factor=1e-2, n_nodes=256, agreement=1e-8,
     from . import spectral_curve as sc
     from .param_domain import Params
 
-    curve = gp.curve
     r0 = radius_factor * (1.0 + abs(curve.alpha - curve.beta))
-    coeffs = airy_series(1)
-    A = np.array([[1.0, -1.0j], [-1.0j, 1.0]])
-    B = np.array([[-1.0, 1.0j], [-1.0j, 1.0]])
-    core = 0.5 * (A @ np.diag([float(coeffs.s[1]), float(coeffs.t[1])]) @ B)
+    core = P_k_factor(1)
     nodes = np.exp(1j * (2.0 * math.pi * (np.arange(n_nodes) + 0.5)
                          / n_nodes))
 
@@ -364,24 +348,23 @@ def residue_W1(gp, radius_factor=1e-2, n_nodes=256, agreement=1e-8,
 # diagnostics used by the certification suite
 # ---------------------------------------------------------------------------
 
-def jump_residuals(gp, n_points=20):
+def jump_residuals(curve, n_points=20):
     """max |M+ - M- J| over points on each cut (exact side limits)."""
-    curve = gp.curve
     xs_a = curve.alpha + np.linspace(0.3, 6.0, n_points)
-    Mp, Mm = global_M_side(gp, xs_a, "+"), global_M_side(gp, xs_a, "-")
+    Mp, Mm = global_M_side(curve, xs_a, "+"), global_M_side(curve, xs_a, "-")
     out = {"alpha": float(np.max(np.abs(Mp - Mm @ JUMP_ALPHA)))}
     xs_b = curve.beta - np.linspace(0.3, 6.0, n_points)
-    Mp, Mm = global_M_side(gp, xs_b, "+"), global_M_side(gp, xs_b, "-")
+    Mp, Mm = global_M_side(curve, xs_b, "+"), global_M_side(curve, xs_b, "-")
     out["beta"] = float(np.max(np.abs(Mm - Mp @ JUMP_BETA)))
     return out
 
 
-def normalization_slope(gp, radii=None, arg=0.8):
+def normalization_slope(curve, radii=None, arg=0.8):
     """Fitted decay slope of ||M f^-1 - I|| over |lam| in [1e3, 1e6]."""
     if radii is None:
         radii = np.logspace(3, 6, 12)
     lam = radii * cmath.exp(1j * arg)
-    dev = global_M(gp, lam) @ np.linalg.inv([fhat(z) for z in lam]) \
+    dev = global_M(curve, lam) @ np.linalg.inv([fhat(z) for z in lam]) \
         - np.eye(3)
     devs = [np.linalg.norm(d) for d in dev]
     return float(np.polyfit(np.log(radii), np.log(devs), 1)[0])

@@ -28,14 +28,6 @@ class Jet:
         c[0] = value
         return cls(c)
 
-    @classmethod
-    def variable(cls, value, order):
-        """Jet of x itself expanded about `value`."""
-        j = cls.constant(value, order)
-        if order >= 1:
-            j.c[1] = value * 0 + 1
-        return j
-
     @property
     def order(self):
         return len(self.c) - 1
@@ -97,14 +89,6 @@ class Jet:
 
     def __rtruediv__(self, other):
         return Jet.constant(other, self.order) / self
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise TypeError("jet powers must be non-negative integers")
-        out = Jet.constant(self.c[0] * 0 + 1, self.order)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __repr__(self):
         return f"Jet({self.c})"

@@ -169,14 +169,6 @@ def uniformize(curve, lam, sheet, side=None):
     return u
 
 
-def lam_of_u(curve, u):
-    return np.polynomial.polynomial.polyval(u, curve.lam_coeffs)
-
-
-def Y_of_u(curve, u):
-    return np.polynomial.polynomial.polyval(u, curve.Y_coeffs)
-
-
 def g_of_u(curve, u):
     return np.polynomial.polynomial.polyval(u, curve.g_coeffs)
 
@@ -417,114 +409,3 @@ def check_g_asymptotics(curve, radii=None, arg_upper=0.9, arg_lower=-0.9):
             slope = np.polyfit(np.log(radii), np.log(diffs), 1)[0]
             report[(sheet, half)] = (float(slope), float(diffs.max()))
     return report
-
-
-# ---------------------------------------------------------------------------
-# high-precision evaluation (mpmath), for test oracles only: sampled fits of
-# g_i - g_j near a branch point and of g_j - theta_j at infinity, where
-# double precision hits the cancellation floor.  No command runs them.
-# ---------------------------------------------------------------------------
-
-def _mp_context(dps):
-    import mpmath
-    mp = mpmath.mp.clone()
-    mp.dps = dps
-    return mpmath, mp
-
-
-def _mp_g_coeffs(curve, mp):
-    """Rebuild (lam1, lam0, g_coeffs) in mp arithmetic.
-
-    The doubles sigma/eta/mu are promoted exactly and the polynomial algebra
-    redone in mp, so that differences like g_i - g_j near a branch point are
-    not limited by the 1e-16 rounding of the stored double coefficients.
-    """
-    s = mp.mpf(curve.sigma)
-    eta = mp.mpf(curve.params.eta)
-    mu = mp.mpf(curve.params.mu)
-    c = -3 * mu / (5 * eta - 3 * s) if mu != 0 else mp.mpf(0)
-    a2 = s / 2
-    lam1 = -mp.mpf(3) / 2 * s
-    Y = [s * s / 2 - mp.mpf(5) / 3 * eta * s, mp.mpf(4) / 3 * c,
-         mp.mpf(5) / 3 * eta - 2 * s, mp.mpf(0), mp.mpf(1)]
-    dlam = [lam1, mp.mpf(0), mp.mpf(3)]
-    prod = [mp.mpf(0)] * (len(Y) + len(dlam) - 1)
-    for i, yi in enumerate(Y):
-        for j, dj in enumerate(dlam):
-            prod[i + j] += yi * dj
-    g = [-2 * c * a2 * a2] + [prod[k] / (k + 1) for k in range(len(prod))]
-    return lam1, c, g
-
-
-def _mp_sheet_value(curve, lam, sheet, dps=50):
-    """(u_sheet(lam), g(u_sheet(lam))) with mpmath, Newton-refined root."""
-    mpmath, mp = _mp_context(dps)
-    lam1, lam0, g = _mp_g_coeffs(curve, mp)
-    seed = uniformize(curve, lam, sheet)
-    u = mp.mpc(seed)
-    p0 = lam0 - mp.mpc(lam)
-    for _ in range(80):
-        f = u * (u * u + lam1) + p0
-        fp = 3 * u * u + lam1
-        du = f / fp
-        u -= du
-        if abs(du) < mp.mpf(10) ** (-dps + 4) * (1 + abs(u)):
-            break
-    acc = mp.mpc(0)
-    for ck in reversed(g):
-        acc = acc * u + ck
-    return u, acc, mp
-
-
-def g_sheet_mp(curve, lam, sheet, dps=50):
-    """High-precision g_j(lam); returns an mpmath complex value."""
-    _, val, _ = _mp_sheet_value(curve, lam, sheet, dps=dps)
-    return val
-
-
-def theta_phase_mp(lam, j, p, dps=50):
-    mpmath, mp = _mp_context(dps)
-    lam = mp.mpc(lam)
-    t = lam ** (mp.mpf(1) / 3)
-    w = mp.exp(2j * mp.pi / 3) ** (j - 1)
-    wi = mp.exp(2j * mp.pi / 3) ** (1 - j)
-    return ((mp.mpf(3) / 7) * w * t**7 + wi * p.eta * t**5 + wi * p.mu * t**2
-            + w * p.nu * t)
-
-
-def _g_difference_mp(curve, lam, pair, dps):
-    gi = g_sheet_mp(curve, lam, pair[0], dps=dps)
-    gj = g_sheet_mp(curve, lam, pair[1], dps=dps)
-    return gi - gj
-
-
-def fit_branch_exponent(curve, point="alpha", n_radii=12, scale_lo=1e-4,
-                        scale_hi=1e-2, direction=None, dps=50):
-    """Power law |g_i - g_j| = rho * r^p near a branch point.
-
-    The exponent is fitted on log-spaced radii in [scale_lo, scale_hi] *
-    (1 + |anchor|) along the bisector of the local sector.  The prefactor is
-    then extracted in the near field (r ~ 1e-8 * scale, where the 1 + O(r)
-    correction is negligible) with the exponent snapped to the nearest half
-    integer.  Returns (p_fit, rho).  Generic exponent 3/2 (amplitudes
-    rho_alpha / rho_beta), 5/2 on the critical strata.
-    """
-    anchor = curve.alpha if point == "alpha" else curve.beta
-    pair = (3, 2) if point == "alpha" else (2, 1)
-    if direction is None:
-        direction = 5.0 * math.pi / 6.0 if point == "alpha" else math.pi / 4.0
-    scale = 1.0 + abs(anchor)
-    radii = np.logspace(math.log10(scale_lo), math.log10(scale_hi),
-                        n_radii) * scale
-    vals = []
-    for r in radii:
-        lam = anchor + r * cmath.exp(1j * direction)
-        vals.append(float(abs(_g_difference_mp(curve, lam, pair, dps))))
-    q = np.polyfit(np.log(radii), np.log(np.array(vals)), 1)
-    p_fit = float(q[0])
-    p_snap = round(2.0 * p_fit) / 2.0
-    rho = 0.0
-    for r in (1e-8 * scale, 2e-8 * scale):
-        lam = anchor + r * cmath.exp(1j * direction)
-        rho += float(abs(_g_difference_mp(curve, lam, pair, dps))) / r**p_snap
-    return p_fit, rho / 2.0

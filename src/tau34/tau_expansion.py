@@ -5,17 +5,12 @@ Contents:
     leading free energy varpi0 / one-loop factor chi;
   * the order-by-order solution (u_k, v_k) of the rescaled string equation,
     carried as nu-derivative jets so residual evaluation is analytic;
-  * the flow-compatibility and tau-differential consistency checks;
-  * the Appendix-style Hamiltonians evaluated on a solution plus Darboux
-    coordinates;
-  * the quartic two-matrix-model resolvent equation and its multiscaling
-    bridge to the branch equation.
+  * the flow-compatibility and tau-differential consistency checks.
 
 All scalar formulas are dtype-generic (floats or mpmath): residual-scaling
 tests at hbar = 1e-4 sit below double precision, so jets can be built in
 mpmath via the dps argument.
 """
-import math
 from dataclasses import dataclass
 
 from . import param_domain as pd
@@ -34,10 +29,6 @@ class TauLeading:
     varpi0: float
     chi: float
 
-    def log_tau_leading(self, hbar):
-        """hbar^-2 varpi0 - (1/24) log chi (overall constant excluded)."""
-        return self.varpi0 / hbar**2 - math.log(self.chi) / 24.0
-
 
 @dataclass(frozen=True)
 class ExpansionJet:
@@ -54,19 +45,6 @@ class ExpansionJet:
     @property
     def v0(self):
         return self.v[0][0]
-
-
-@dataclass(frozen=True)
-class HamiltonianValues:
-    H1: float
-    H2: float
-    H5: float
-    Q_U: float
-    Q_V: float
-    Q_W: float
-    P_U: float
-    P_V: float
-    P_W: float
 
 
 def leading_hamiltonians(p, sigma=None):
@@ -101,22 +79,6 @@ def tau_leading(p, sigma=None):
                    + mu**4 * (25.0 * eta - 24.0 * sigma) / den**4)
         chi -= 72.0 * mu**2 / den**2
     return TauLeading(varpi0=varpi0, chi=chi)
-
-
-def h1_first_correction(p, sigma=None):
-    """First hbar^2 correction of the nu-Hamiltonian density on mu = 0.
-
-    Closed form (9 s - 5 eta) / (6 s^2 (5 eta - 3 s)^2), obtained by feeding
-    the order-hbar^2 jet through the Darboux representation of the
-    t1-Hamiltonian.  Serves as the independent oracle for the first-residue
-    pairing check in `parametrix`.
-    """
-    if p.mu != 0.0:
-        raise pd.DomainError("closed form available on the mu = 0 slice only")
-    if sigma is None:
-        sigma = pd.solve_sigma(p).sigma
-    s, e = sigma, p.eta
-    return (9.0 * s - 5.0 * e) / (6.0 * s**2 * (5.0 * e - 3.0 * s) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -301,130 +263,3 @@ def dlogtau_consistency(p, step=1e-5, sigma=None):
         fd(h2, "eta") - fd(h5, "mu"),
     )
     return grad, closed
-
-
-def hamiltonians_on_solution(ujet, vjet, t1, t2, t5):
-    """Literal evaluation of the on-solution Hamiltonians H1, H2, H5 and the
-    Darboux coordinates, given (U, U', U'', U''') and (V, V')."""
-    U, Up, Upp, Uppp = ujet
-    V, Vp = vjet
-    H1 = (-Up * Uppp / 12.0 + Upp**2 / 24.0 + 0.375 * U * Up**2
-          + 0.5 * Vp**2 - U**4 / 8.0 - 1.5 * U * V**2
-          - (5.0 / 6.0) * t5 * (0.25 * Up**2 - 0.5 * U**3 - 3.0 * V**2)
-          + 0.5 * t1 * U**2)
-    H2 = (Uppp * Vp / 6.0 - 0.5 * V * U * Upp + 0.25 * V * Up**2
-          - U * Up * Vp + U**3 * V + V**3
-          + (5.0 / 6.0) * t5 * (Upp - 3.0 * U**2) * V
-          + (1.0 / 3.0) * t2 * (Upp - 3.0 * U**2) + 2.0 * t1 * V)
-    H5 = (Up * Upp * Uppp / 144.0 + Vp * Uppp / 12.0 - U**2 * Up * Uppp / 16.0
-          + U * Uppp**2 / 144.0 + U * Up**2 * Upp / 16.0
-          - 0.25 * U * V * Up * Vp + 0.375 * V**4
-          - Up**4 / 128.0 - U**6 / 16.0 + Upp**3 / 432.0 + U**4 * Upp / 12.0
-          + 3.0 * U**3 * Up**2 / 32.0 - U**3 * V**2 / 8.0
-          - U**2 * Upp**2 / 32.0 + U**2 * Vp**2 / 8.0
-          - Upp * Vp**2 / 12.0 - V**2 * Up**2 / 16.0
-          + (5.0 / 6.0) * t5 * (1.5 * U**2 * V**2 + U * Upp / 8.0
-                                - 0.5 * U * Vp**2 - Up**2 * Upp / 12.0
-                                - 0.5 * V**2 * Upp - 7.0 * U**3 * Upp / 12.0
-                                - 0.75 * Up**2 * U**2 + U * Up * Uppp / 3.0
-                                + 0.5 * V * Up * Vp + 0.625 * U**5
-                                - Uppp**2 / 36.0)
-          + 0.5 * t2 * (U**2 * V + Upp * V / 3.0 - Up * Vp)
-          + 0.5 * t1 * (V**2 - 0.25 * Up**2 - 0.5 * U**3 + U * Upp / 3.0)
-          - (5.0 / 3.0) * t5 * t2 * U * V
-          + (5.0 / 3.0) * t5 * t1 * (U**2 - Upp / 3.0)
-          + (25.0 / 36.0) * t5**2 * (U**2 * Upp + 3.0 * U * V**2
-                                     - 1.5 * U**4 - Upp**2 / 6.0
-                                     - 2.0 * Vp**2 - 8.0 * t2 * V)
-          - (125.0 / 18.0) * t5**3 * V - (10.0 / 9.0) * t5 * t2**2
-          - (2.0 / 3.0) * t1**2)
-    return HamiltonianValues(
-        H1=H1, H2=H2, H5=H5,
-        Q_U=U - (4.0 / 3.0) * t5, Q_V=V, Q_W=Up,
-        P_U=0.25 * (3.0 * U * Up - Uppp / 3.0 - (7.0 / 3.0) * t5 * Up),
-        P_V=Vp,
-        P_W=Upp / 12.0 - t5 * U / 6.0 + (7.0 / 18.0) * t5**2)
-
-
-# ---------------------------------------------------------------------------
-# quartic two-matrix model bridge
-# ---------------------------------------------------------------------------
-
-MULTISCALE_C1 = 9.0 / 164.0
-MULTISCALE_C2 = 2.0 / 3.0
-MULTISCALE_C5 = 5.0 / 12.0
-CRITICAL_TAU = 0.25
-CRITICAL_T = -5.0 / 72.0
-
-
-def matrix_model_ideal(sigma, t, tau, H):
-    """The resolvent algebraic equation of the quartic two-matrix model.
-
-    J = -t - tau^2 sigma (sigma^2-3)/9 - sigma/(3 (1+sigma)^2)
-        + (2/3) (sigma/(1-sigma^2))^2 (cosh H - 1)
-
-    Rational inputs with H = 0 are evaluated exactly (Fraction arithmetic
-    passes through); the cosh term is only active for H != 0.
-    """
-    if abs(1 + sigma) < 1e-14:
-        raise ZeroDivisionError("sigma = -1 is a pole of the equation")
-    out = (-t - tau**2 * sigma * (sigma**2 - 3) / 9
-           - sigma / (3 * (1 + sigma) ** 2))
-    if H != 0:
-        if abs(1 - sigma**2) < 1e-14:
-            raise ZeroDivisionError("sigma = +-1 is a pole of the cosh term")
-        out += (2.0 / 3.0) * (sigma / (1 - sigma**2)) ** 2 \
-            * (math.cosh(H) - 1.0)
-    return out
-
-
-def multiscaling_point(p, eps):
-    """(tau, t, H) of the multiscaling family at N^(-2/7) = eps.
-
-    The combination is tuned so that inserting sigma = 1 + s1 eps + ... into
-    the resolvent equation makes orders eps^0..eps^2 vanish identically and
-    reproduces the branch equation for s1 = 5 eta/3 - s at order eps^3.
-    (H scales as N^(-5/7) = eps^(5/2), entering only through cosh H - 1.)
-    """
-    c1, c2, c5 = MULTISCALE_C1, MULTISCALE_C2, MULTISCALE_C5
-    tau = CRITICAL_TAU - c5 * p.eta * eps + c1 * p.nu * eps**3 / 9.0
-    t = (CRITICAL_T - c5 * p.eta * eps / 9.0 - c1 * p.nu * eps**3
-         + 2.0 * c5**2 * p.eta**2 * eps**2 / 9.0
-         + 8.0 * c5**3 * p.eta**3 * eps**3 / 9.0)
-    H = c2 * p.mu * eps**2.5
-    return tau, t, H
-
-
-def multiscaling_sigma1(p, eps, sigma=None, dps=40):
-    """(sigma(eps) - 1)/eps for the resolvent root near sigma = 1.
-
-    Converges to 5 eta/3 - s as eps -> 0 (s the branch-equation root).
-    Solved in mpmath: near the critical point the equation value is O(eps^3)
-    out of O(1) cancellations, far below double resolution for small eps.
-    """
-    import mpmath
-    mp = mpmath.mp.clone()
-    mp.dps = dps
-    if sigma is None:
-        sigma = pd.solve_sigma(p).sigma
-    s1 = 5.0 * p.eta / 3.0 - sigma
-    e = mp.mpf(eps)
-    c1, c2, c5 = (mp.mpf(9) / 164, mp.mpf(2) / 3, mp.mpf(5) / 12)
-    eta, mu, nu = map(mp.mpf, (p.eta, p.mu, p.nu))
-    tau = mp.mpf(1) / 4 - c5 * eta * e + c1 * nu * e**3 / 9
-    t = (mp.mpf(-5) / 72 - c5 * eta * e / 9 - c1 * nu * e**3
-         + 2 * c5**2 * eta**2 * e**2 / 9 + 8 * c5**3 * eta**3 * e**3 / 9)
-    H = c2 * mu * e ** mp.mpf("2.5")
-
-    def f(sg):
-        out = (-t - tau**2 * sg * (sg * sg - 3) / 9
-               - sg / (3 * (1 + sg) ** 2))
-        if mu != 0:
-            out += (mp.mpf(2) / 3) * (sg / (1 - sg * sg)) ** 2 \
-                * (mp.cosh(H) - 1)
-        return out
-
-    x0 = mp.mpf(1) + s1 * e
-    root = mp.findroot(f, (x0, x0 * (1 + mp.mpf(10) ** (-8))),
-                       solver="secant", tol=mp.mpf(10) ** (-2 * dps + 10))
-    return float((root - 1) / e)

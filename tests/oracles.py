@@ -1,0 +1,137 @@
+"""Reference computations that tests check the package against.
+
+None of these is run by a `tau34` command:
+
+  * the g-functions and phases in mpmath, Newton-refined from the double
+    sheet roots: sampled fits of g_i - g_j near a branch point and of
+    g_j - theta_j at infinity, where double precision hits the
+    cancellation floor;
+  * `fit_branch_exponent`, the sampled power-law fit of `branch_coeffs`;
+  * `h1_first_correction`, the closed-form oracle of the residue pairing.
+"""
+import cmath
+import math
+
+import numpy as np
+
+from tau34 import param_domain as pd
+from tau34.spectral_curve import uniformize
+
+
+def mp_context(dps):
+    import mpmath
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    return mp
+
+
+def mp_g_coeffs(curve, mp):
+    """Rebuild (lam1, lam0, g_coeffs) in mp arithmetic.
+
+    The doubles sigma/eta/mu are promoted exactly and the polynomial algebra
+    redone in mp, so that differences like g_i - g_j near a branch point are
+    not limited by the 1e-16 rounding of the stored double coefficients.
+    """
+    s = mp.mpf(curve.sigma)
+    eta = mp.mpf(curve.params.eta)
+    mu = mp.mpf(curve.params.mu)
+    c = -3 * mu / (5 * eta - 3 * s) if mu != 0 else mp.mpf(0)
+    a2 = s / 2
+    lam1 = -mp.mpf(3) / 2 * s
+    Y = [s * s / 2 - mp.mpf(5) / 3 * eta * s, mp.mpf(4) / 3 * c,
+         mp.mpf(5) / 3 * eta - 2 * s, mp.mpf(0), mp.mpf(1)]
+    dlam = [lam1, mp.mpf(0), mp.mpf(3)]
+    prod = [mp.mpf(0)] * (len(Y) + len(dlam) - 1)
+    for i, yi in enumerate(Y):
+        for j, dj in enumerate(dlam):
+            prod[i + j] += yi * dj
+    g = [-2 * c * a2 * a2] + [prod[k] / (k + 1) for k in range(len(prod))]
+    return lam1, c, g
+
+
+def mp_sheet_value(curve, lam, sheet, dps=50):
+    """(u_sheet(lam), g(u_sheet(lam)), mp) with mpmath, Newton-refined root."""
+    mp = mp_context(dps)
+    lam1, lam0, g = mp_g_coeffs(curve, mp)
+    u = mp.mpc(uniformize(curve, lam, sheet))
+    p0 = lam0 - mp.mpc(lam)
+    for _ in range(80):
+        f = u * (u * u + lam1) + p0
+        fp = 3 * u * u + lam1
+        du = f / fp
+        u -= du
+        if abs(du) < mp.mpf(10) ** (-dps + 4) * (1 + abs(u)):
+            break
+    acc = mp.mpc(0)
+    for ck in reversed(g):
+        acc = acc * u + ck
+    return u, acc, mp
+
+
+def g_sheet_mp(curve, lam, sheet, dps=50):
+    """High-precision g_j(lam); returns an mpmath complex value."""
+    return mp_sheet_value(curve, lam, sheet, dps=dps)[1]
+
+
+def theta_phase_mp(lam, j, p, dps=50):
+    """`spectral_curve.theta_phase` in mpmath (principal lam^(1/3))."""
+    mp = mp_context(dps)
+    lam = mp.mpc(lam)
+    t = lam ** (mp.mpf(1) / 3)
+    w = mp.exp(2j * mp.pi / 3) ** (j - 1)
+    wi = mp.exp(2j * mp.pi / 3) ** (1 - j)
+    return ((mp.mpf(3) / 7) * w * t**7 + wi * p.eta * t**5 + wi * p.mu * t**2
+            + w * p.nu * t)
+
+
+def g_difference_mp(curve, lam, pair, dps):
+    return (g_sheet_mp(curve, lam, pair[0], dps=dps)
+            - g_sheet_mp(curve, lam, pair[1], dps=dps))
+
+
+def fit_branch_exponent(curve, point="alpha", n_radii=12, scale_lo=1e-4,
+                        scale_hi=1e-2, direction=None, dps=50):
+    """Power law |g_i - g_j| = rho * r^p near a branch point.
+
+    The exponent is fitted on log-spaced radii in [scale_lo, scale_hi] *
+    (1 + |anchor|) along the bisector of the local sector.  The prefactor is
+    then extracted in the near field (r ~ 1e-8 * scale, where the 1 + O(r)
+    correction is negligible) with the exponent snapped to the nearest half
+    integer.  Returns (p_fit, rho).  Generic exponent 3/2 (amplitudes
+    rho_alpha / rho_beta), 5/2 on the critical strata.
+    """
+    anchor = curve.alpha if point == "alpha" else curve.beta
+    pair = (3, 2) if point == "alpha" else (2, 1)
+    if direction is None:
+        direction = 5.0 * math.pi / 6.0 if point == "alpha" else math.pi / 4.0
+    scale = 1.0 + abs(anchor)
+    radii = np.logspace(math.log10(scale_lo), math.log10(scale_hi),
+                        n_radii) * scale
+    vals = []
+    for r in radii:
+        lam = anchor + r * cmath.exp(1j * direction)
+        vals.append(float(abs(g_difference_mp(curve, lam, pair, dps))))
+    q = np.polyfit(np.log(radii), np.log(np.array(vals)), 1)
+    p_fit = float(q[0])
+    p_snap = round(2.0 * p_fit) / 2.0
+    rho = 0.0
+    for r in (1e-8 * scale, 2e-8 * scale):
+        lam = anchor + r * cmath.exp(1j * direction)
+        rho += float(abs(g_difference_mp(curve, lam, pair, dps))) / r**p_snap
+    return p_fit, rho / 2.0
+
+
+def h1_first_correction(p, sigma=None):
+    """First hbar^2 correction of the nu-Hamiltonian density on mu = 0.
+
+    Closed form (9 s - 5 eta) / (6 s^2 (5 eta - 3 s)^2), obtained by feeding
+    the order-hbar^2 jet through the Darboux representation of the
+    t1-Hamiltonian.  The independent oracle of the first-residue pairing
+    `-(W1 + W1_hat)[2, 0]` of `parametrix.residue_W1`.
+    """
+    if p.mu != 0.0:
+        raise pd.DomainError("closed form available on the mu = 0 slice only")
+    if sigma is None:
+        sigma = pd.solve_sigma(p).sigma
+    s, e = sigma, p.eta
+    return (9.0 * s - 5.0 * e) / (6.0 * s**2 * (5.0 * e - 3.0 * s) ** 2)

@@ -260,10 +260,12 @@ class TestCertify:
         assert out.stdout.strip() == "False"
 
     def test_point_commands_do_not_import_scipy(self, tmp_path):
-        # pi: the Painleve I solve is numpy collocation, not solve_bvp
+        # pi: the Painleve I solve is numpy collocation, not solve_bvp;
+        # surface: the Gauss-angle maximum is in closed form, not a search
         code = ("import sys; from tau34.cli import main; "
                 "[main([cmd, '--mu=0.05', '--out', sys.argv[1]]) "
-                "for cmd in ('certify', 'sigma', 'parametrix', 'pi')]; "
+                "for cmd in ('certify', 'sigma', 'parametrix', 'pi', "
+                "'surface', 'critical')]; "
                 "print(sorted(m for m in sys.modules "
                 "if m.split('.')[0] == 'scipy'))")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

@@ -11,8 +11,8 @@ from tau34.param_domain import (BOUNDARY_MARGIN, NEWTON_TOL, ABCoords,
                                 BoundaryReached, DomainError, Params,
                                 SigmaSolution, _is_multiple,
                                 _param_gradient, eval_P, in_domain_D,
-                                inverse_abc, jacobian_abc, map_abc,
-                                sigma_jets, solve_sigma, viete_roots)
+                                map_abc, sigma_jets, solve_sigma,
+                                viete_roots)
 
 
 class TestEvalP:
@@ -328,55 +328,6 @@ class TestMapABC:
         p, sigma = map_abc(ABCoords(0.8, 3.2, 1.2))
         value, _ = eval_P(sigma, p)
         assert abs(value) < 1e-12
-
-
-class TestJacobian:
-    def test_reference_value(self):
-        # (4/5) a (3ba - 6a^3)^2 at the reference point; the finite
-        # difference oracle below fixes the 4/5 prefactor
-        a = math.sqrt(1.25)
-        jac = jacobian_abc(ABCoords(a, 10.0 / 3.0, 0.0))
-        expected = 0.8 * a * (3.0 * (10.0 / 3.0) * a - 6.0 * a**3) ** 2
-        assert jac == pytest.approx(expected, rel=1e-14)
-        assert jac == pytest.approx(6.987712429686839, rel=1e-10)
-
-    def test_vanishing_at_a_zero(self):
-        assert jacobian_abc(ABCoords(0.0, 1.0, 1.0)) == 0.0
-
-    def _fd_jacobian(self, q, h=1e-5):
-        def f(vec):
-            p, _ = map_abc(ABCoords(*vec))
-            return np.array([p.eta, p.mu, p.nu])
-        base = np.array([q.a, q.b, q.c])
-        cols = []
-        for k in range(3):
-            dv = np.zeros(3)
-            dv[k] = h * (1.0 + abs(base[k]))
-            cols.append((f(base + dv) - f(base - dv)) / (2.0 * dv[k]))
-        return abs(np.linalg.det(np.column_stack(cols)))
-
-    def test_matches_finite_differences(self):
-        for q in abc_samples(50):
-            jac = jacobian_abc(q)
-            assert jac > 0.0
-            assert jac == pytest.approx(self._fd_jacobian(q), rel=1e-6)
-
-    def test_figure_point_fd(self):
-        q = ABCoords(0.8, 3.2, 1.2)
-        assert jacobian_abc(q) == pytest.approx(self._fd_jacobian(q),
-                                                rel=1e-6)
-
-
-class TestInverse:
-    def test_round_trip(self, rng):
-        from conftest import random_domain_points
-        for p in random_domain_points(rng, 50):
-            q = inverse_abc(p)
-            p2, _ = map_abc(q)
-            scale = 1.0 + max(abs(p.eta), abs(p.mu), abs(p.nu))
-            assert abs(p2.eta - p.eta) < 1e-10 * scale
-            assert abs(p2.mu - p.mu) < 1e-10 * scale
-            assert abs(p2.nu - p.nu) < 1e-10 * scale
 
 
 class TestDomainMembership:

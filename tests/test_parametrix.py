@@ -10,15 +10,20 @@ from hypothesis import strategies as st
 from tau34.param_domain import Params
 from tau34.parametrix import (JUMP_ALPHA, JUMP_BETA, REFLECT_LEFT,
                               REFLECT_RIGHT, SCAL, STOKES_PATTERN,
-                              STOKES_PLANES, TRUNCATED_S7, AiryCoeffs,
-                              GlobalParametrix, P_k_matrix, StokesData,
-                              _exact, _matmul3, _stokes_product, airy_series,
-                              fhat, global_M, global_M_side, identity3,
-                              jump_residuals, normalization_slope,
+                              STOKES_PLANES, TRUNCATED_S7, P_k_matrix,
+                              StokesData, _exact, _stokes_product,
+                              airy_series, fhat, global_M, global_M_side,
+                              identity3, jump_residuals, normalization_slope,
                               plane_membership, residue_W1, stokes_check)
 from tau34.spectral_curve import (OnBranchPoint, _cut_side_roots, build_curve,
                                   g_of_u, uniformize_all)
-from tau34.tau_expansion import h1_first_correction
+
+from oracles import h1_first_correction
+
+
+def _matmul3(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)]
 
 
 def _matmul_stokes_product(data):
@@ -164,71 +169,69 @@ class TestAiry:
 
 
 @pytest.fixture(scope="module")
-def gp_mu():
-    return GlobalParametrix(curve=build_curve(Params(1.0, 0.3, -0.2)))
+def cv_mu():
+    return build_curve(Params(1.0, 0.3, -0.2))
 
 
 @pytest.fixture(scope="module")
-def gp_sym():
-    return GlobalParametrix(curve=build_curve(Params(1.0, 0.0, 0.0)))
+def cv_sym():
+    return build_curve(Params(1.0, 0.0, 0.0))
 
 
 class TestGlobalM:
-    def test_cut_jumps(self, gp_mu, gp_sym):
-        for gp in (gp_mu, gp_sym):
-            res = jump_residuals(gp, n_points=20)
+    def test_cut_jumps(self, cv_mu, cv_sym):
+        for cv in (cv_mu, cv_sym):
+            res = jump_residuals(cv, n_points=20)
             assert res["alpha"] < 1e-10
             assert res["beta"] < 1e-10
 
-    def test_jump_matches_offset_evaluation(self, gp_mu):
-        cv = gp_mu.curve
-        x = cv.alpha + 1.9
+    def test_jump_matches_offset_evaluation(self, cv_mu):
+        x = cv_mu.alpha + 1.9
         eps = 1e-8
-        Mp = global_M(gp_mu, complex(x, eps))
-        Mm = global_M(gp_mu, complex(x, -eps))
+        Mp = global_M(cv_mu, complex(x, eps))
+        Mm = global_M(cv_mu, complex(x, -eps))
         assert np.max(np.abs(Mp - Mm @ JUMP_ALPHA)) < 1e-6
-        assert np.max(np.abs(global_M_side(gp_mu, x, "+") - Mp)) < 1e-6
+        assert np.max(np.abs(global_M_side(cv_mu, x, "+") - Mp)) < 1e-6
 
-    def test_normalization_slope(self, gp_mu):
-        assert abs(normalization_slope(gp_mu) + 1.0) < 0.05
+    def test_normalization_slope(self, cv_mu):
+        assert abs(normalization_slope(cv_mu) + 1.0) < 0.05
 
-    def test_reflection_symmetry(self, gp_mu):
-        p = gp_mu.curve.params
-        gp_m = GlobalParametrix(
-            curve=build_curve(Params(p.eta, -p.mu, p.nu)))
+    def test_reflection_symmetry(self, cv_mu):
+        p = cv_mu.params
+        cv_m = build_curve(Params(p.eta, -p.mu, p.nu))
         for z in (2.5 + 1.3j, -4.0 + 0.7j, 1.0 - 2.0j):
-            lhs = global_M(gp_mu, z)
-            rhs = REFLECT_LEFT @ global_M(gp_m, -z) @ REFLECT_RIGHT
+            lhs = global_M(cv_mu, z)
+            rhs = REFLECT_LEFT @ global_M(cv_m, -z) @ REFLECT_RIGHT
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-    def test_det_constant_per_half_plane(self, gp_mu):
+    def test_det_constant_per_half_plane(self, cv_mu):
         for half in (1.0, -1.0):
-            dets = [np.linalg.det(global_M(gp_mu, z))
+            dets = [np.linalg.det(global_M(cv_mu, z))
                     for z in (3 + 2j * half, -5 + 1j * half, 40 + 9j * half,
                               0.4 + 0.2j * half)]
             assert np.ptp([abs(d) for d in dets]) < 1e-10
             assert np.ptp(np.angle(np.array(dets) / dets[0])) < 1e-10
 
-    def test_fhat_leading_asymptotics(self, gp_sym):
+    def test_fhat_leading_asymptotics(self, cv_sym):
         lam = 1e5 * np.exp(0.7j)
-        M = global_M(gp_sym, lam)
+        M = global_M(cv_sym, lam)
         dev = np.linalg.norm(M @ np.linalg.inv(fhat(lam)) - np.eye(3))
         assert dev < 1e-4
 
 
 class TestResidue:
-    def test_radius_independence(self, gp_mu):
-        rd_a = residue_W1(gp_mu, radius_factor=1e-2)
-        rd_b = residue_W1(gp_mu, radius_factor=5e-3)
+    def test_radius_independence(self, cv_mu):
+        rd_a = residue_W1(cv_mu, radius_factor=1e-2)
+        rd_b = residue_W1(cv_mu, radius_factor=5e-3)
         assert np.max(np.abs(rd_a.W1 - rd_b.W1)) < 1e-8
 
-    def test_reflection_at_mu_zero(self, gp_sym):
-        rd = residue_W1(gp_sym)
+    def test_reflection_at_mu_zero(self, cv_sym):
+        rd = residue_W1(cv_sym)
         D = np.diag([1.0, -1.0, 1.0])
         assert np.allclose(rd.W1_hat, D @ rd.W1 @ D, atol=1e-14)
 
-    def test_entries_finite_real(self, gp_sym):
-        rd = residue_W1(gp_sym)
+    def test_entries_finite_real(self, cv_sym):
+        rd = residue_W1(cv_sym)
         assert np.all(np.isfinite(rd.W1))
         assert np.max(np.abs(rd.W1.imag)) < 1e-10
 
@@ -237,8 +240,7 @@ class TestResidue:
     def test_pairing_against_first_correction(self, pt):
         # -tr(E13 (W1 + W1hat)) equals half the first correction of the
         # nu-Hamiltonian density (independent closed-form oracle)
-        gp = GlobalParametrix(curve=build_curve(pt))
-        rd = residue_W1(gp)
+        rd = residue_W1(build_curve(pt))
         pairing = -(rd.W1 + rd.W1_hat)[2, 0]
         assert abs(pairing.imag) < 1e-10
         want = 0.5 * h1_first_correction(pt)
@@ -271,10 +273,9 @@ def scalar_cut_side_roots(curve, x):
     return np.array([hi, lo, real_root])
 
 
-def node_loop_residue(gp, radius_factor=1e-2, n_nodes=256, agreement=1e-8,
-                      max_shrink=4):
+def node_loop_residue(curve, radius_factor=1e-2, n_nodes=256,
+                      agreement=1e-8, max_shrink=4):
     """residue_W1 as one root-kernel call and one inverse per node."""
-    curve = gp.curve
     r0 = radius_factor * (1.0 + abs(curve.alpha - curve.beta))
     co = airy_series(1)
     A = np.array([[1.0, -1.0j], [-1.0j, 1.0]])
@@ -320,37 +321,37 @@ class TestBatched:
     @pytest.mark.parametrize("pt", [(1.0, 0.0, 0.0), (1.0, 0.05, -0.3),
                                     (0.5, -0.05, -0.1), (2.0, 0.1, 0.2)])
     def test_residue_matches_node_loop(self, pt):
-        gp = GlobalParametrix(curve=build_curve(Params(*pt)))
-        rd = residue_W1(gp)
-        W1, W1_hat = node_loop_residue(gp)
+        cv = build_curve(Params(*pt))
+        rd = residue_W1(cv)
+        W1, W1_hat = node_loop_residue(cv)
         assert np.max(np.abs(rd.W1 - W1)) <= 1e-14
         assert np.max(np.abs(rd.W1_hat - W1_hat)) <= 1e-14
 
-    def test_global_M_stack_equals_scalar_calls(self, gp_mu):
-        cv = gp_mu.curve
+    def test_global_M_stack_equals_scalar_calls(self, cv_mu):
+        cv = cv_mu
         lam = np.array([2.5 + 1.3j, -4.0 + 0.7j, 1.0 - 2.0j, 40.0 - 9.0j,
                         cv.alpha + 1.9, cv.beta - 0.8, 0.5 * (cv.alpha
                                                               + cv.beta)])
-        stack = global_M(gp_mu, lam)
+        stack = global_M(cv, lam)
         assert stack.shape == (len(lam), 3, 3)
         for z, M in zip(lam, stack):
-            one = global_M(gp_mu, complex(z))
+            one = global_M(cv, complex(z))
             assert one.shape == (3, 3)
             assert np.max(np.abs(M - one)) <= ULPS * np.max(np.abs(one))
-        assert global_M(gp_mu, lam.reshape(7, 1)).shape == (7, 1, 3, 3)
+        assert global_M(cv, lam.reshape(7, 1)).shape == (7, 1, 3, 3)
 
-    def test_global_M_stack_rejects_branch_point(self, gp_mu):
+    def test_global_M_stack_rejects_branch_point(self, cv_mu):
         with pytest.raises(OnBranchPoint):
-            global_M(gp_mu, np.array([1.0 + 1.0j, gp_mu.curve.beta]))
+            global_M(cv_mu, np.array([1.0 + 1.0j, cv_mu.beta]))
 
     @pytest.mark.parametrize("side", ["+", "-"])
-    def test_global_M_side_stack_equals_scalar_calls(self, gp_mu, side):
-        cv = gp_mu.curve
+    def test_global_M_side_stack_equals_scalar_calls(self, cv_mu, side):
+        cv = cv_mu
         xs = np.concatenate([cv.alpha + np.linspace(0.3, 6.0, 5),
                              cv.beta - np.linspace(0.3, 6.0, 5)])
-        stack = global_M_side(gp_mu, xs, side)
+        stack = global_M_side(cv, xs, side)
         for x, M in zip(xs, stack):
-            one = global_M_side(gp_mu, float(x), side)
+            one = global_M_side(cv, float(x), side)
             assert one.shape == (3, 3)
             assert np.max(np.abs(M - one)) <= ULPS * np.max(np.abs(one))
 

@@ -12,12 +12,12 @@ from tau34.cli import certify_point
 from tau34.param_domain import ABCoords, Params, map_abc
 from tau34.spectral_curve import (AsymptoticsError, BranchCutError,
                                   OnBranchPoint, branch_coeffs, build_curve,
-                                  check_g_asymptotics, fit_branch_exponent,
-                                  g_sheet, g_sheet_mp, g_sheets_all,
-                                  lam_of_u, laurent_at_infinity,
-                                  theta_phase, theta_phase_mp, theta_hat,
+                                  check_g_asymptotics, g_sheet, g_sheets_all,
+                                  laurent_at_infinity, theta_phase, theta_hat,
                                   uniformize, uniformize_all)
 from tau34.tau_expansion import leading_hamiltonians
+
+from oracles import fit_branch_exponent, g_sheet_mp, theta_phase_mp
 
 pv = np.polynomial.polynomial.polyval
 

@@ -4,14 +4,87 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tau34.param_domain import Params, sigma_jets, solve_sigma
+from tau34.param_domain import DomainError, Params, sigma_jets, solve_sigma
 from tau34.series import Jet
 from tau34.tau_expansion import (dlogtau_consistency, expansion_jet,
-                                 flow_compatibility, h1_first_correction,
-                                 hamiltonians_on_solution,
-                                 leading_hamiltonians, matrix_model_ideal,
-                                 multiscaling_sigma1, string_residual,
-                                 tau_leading)
+                                 flow_compatibility, leading_hamiltonians,
+                                 string_residual, tau_leading)
+
+from oracles import h1_first_correction
+
+
+# ---------------------------------------------------------------------------
+# the quartic two-matrix model bridge: an oracle for the branch equation.
+# Each formula is written once for floats, Fractions and mpmath numbers
+# (Fraction constants stay on the left of products and on the right of
+# sums: mpmath does not take a Fraction on the left of - or /).
+# ---------------------------------------------------------------------------
+
+MULTISCALE_C1 = Fraction(9, 164)
+MULTISCALE_C2 = Fraction(2, 3)
+MULTISCALE_C5 = Fraction(5, 12)
+CRITICAL_TAU = Fraction(1, 4)
+CRITICAL_T = Fraction(-5, 72)
+
+
+def matrix_model_ideal(sigma, t, tau, H, cosh=math.cosh):
+    """The resolvent algebraic equation of the quartic two-matrix model.
+
+    J = -t - tau^2 sigma (sigma^2-3)/9 - sigma/(3 (1+sigma)^2)
+        + (2/3) (sigma/(1-sigma^2))^2 (cosh H - 1)
+
+    Rational inputs with H = 0 are evaluated exactly (Fraction arithmetic
+    passes through); the cosh term is only active for H != 0.
+    """
+    if abs(1 + sigma) < 1e-14:
+        raise ZeroDivisionError("sigma = -1 is a pole of the equation")
+    out = (-t - tau**2 * sigma * (sigma**2 - 3) / 9
+           - sigma / (3 * (1 + sigma) ** 2))
+    if H != 0:
+        if abs(1 - sigma**2) < 1e-14:
+            raise ZeroDivisionError("sigma = +-1 is a pole of the cosh term")
+        out += Fraction(2, 3) * (sigma / (1 - sigma**2)) ** 2 * (cosh(H) - 1)
+    return out
+
+
+def multiscaling_point(p, eps):
+    """(tau, t, H) of the multiscaling family at N^(-2/7) = eps.
+
+    The combination is tuned so that inserting sigma = 1 + s1 eps + ... into
+    the resolvent equation makes orders eps^0..eps^2 vanish identically and
+    reproduces the branch equation for s1 = 5 eta/3 - s at order eps^3.
+    (H scales as N^(-5/7) = eps^(5/2), entering only through cosh H - 1.)
+    """
+    c1, c2, c5 = MULTISCALE_C1, MULTISCALE_C2, MULTISCALE_C5
+    eta, nu = p.eta, p.nu
+    tau = -c5 * eta * eps + c1 * nu * eps**3 / 9 + CRITICAL_TAU
+    t = (-c5 * eta * eps / 9 - c1 * nu * eps**3
+         + 2 * c5**2 * eta**2 * eps**2 / 9
+         + 8 * c5**3 * eta**3 * eps**3 / 9 + CRITICAL_T)
+    H = c2 * p.mu * eps**2.5
+    return tau, t, H
+
+
+def multiscaling_sigma1(p, eps, sigma=None, dps=40):
+    """(sigma(eps) - 1)/eps for the resolvent root near sigma = 1.
+
+    Converges to 5 eta/3 - s as eps -> 0 (s the branch-equation root).
+    Solved in mpmath: near the critical point the equation value is O(eps^3)
+    out of O(1) cancellations, far below double resolution for small eps.
+    """
+    import mpmath
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    if sigma is None:
+        sigma = solve_sigma(p).sigma
+    e = mp.mpf(eps)
+    tau, t, H = multiscaling_point(Params(*map(mp.mpf, (p.eta, p.mu, p.nu))),
+                                   e)
+    x0 = 1 + (5.0 * p.eta / 3.0 - sigma) * e
+    root = mp.findroot(lambda sg: matrix_model_ideal(sg, t, tau, H, mp.cosh),
+                       (x0, x0 * (1 + mp.mpf(10) ** (-8))),
+                       solver="secant", tol=mp.mpf(10) ** (-2 * dps + 10))
+    return float((root - 1) / e)
 
 
 class TestJet:
@@ -59,12 +132,6 @@ class TestLeadingData:
                 * sol.dP_dsigma
             assert abs(lhs) < 1e-12 * (1.0 + abs(tl.chi))
             assert tl.chi > 0.0
-
-    def test_log_tau_leading(self):
-        tl = tau_leading(Params(1.0, 0.0, 0.0))
-        hbar = 0.1
-        want = tl.varpi0 / hbar**2 - math.log(tl.chi) / 24.0
-        assert tl.log_tau_leading(hbar) == pytest.approx(want, rel=1e-15)
 
 
 class TestDlogTau:
@@ -155,50 +222,6 @@ class TestFlows:
         assert abs(fd_u + 2.0 * fd_v) < 1e-6
 
 
-class TestHamiltoniansOnSolution:
-    def test_all_zero(self):
-        hv = hamiltonians_on_solution((0.0,) * 4, (0.0,) * 2, 0.0, 0.0, 0.0)
-        assert hv.H1 == hv.H2 == hv.H5 == 0.0
-
-    def test_constant_state(self):
-        hbar = 1e-2
-        U = 2.5 * hbar ** (-2.0 / 7.0)
-        t5 = hbar ** (-2.0 / 7.0)
-        hv = hamiltonians_on_solution((U, 0.0, 0.0, 0.0), (0.0, 0.0),
-                                      0.0, 0.0, t5)
-        want = -U**4 / 8.0 + (5.0 / 12.0) * t5 * U**3
-        assert hv.H1 == pytest.approx(want, rel=1e-14)
-        assert hv.Q_U == pytest.approx(U - (4.0 / 3.0) * t5, rel=1e-14)
-
-    def test_h1_monomial_oracle(self):
-        # independent term-table evaluation of H1
-        U, Up, Upp, Uppp = 1.3, 0.7, -0.4, 0.9
-        V, Vp = 0.5, -0.2
-        t1, t2, t5 = 0.3, 0.1, 0.8
-        terms = [
-            (-1.0 / 12.0, Up * Uppp), (1.0 / 24.0, Upp**2),
-            (3.0 / 8.0, U * Up**2), (0.5, Vp**2), (-1.0 / 8.0, U**4),
-            (-1.5, U * V**2), (-5.0 / 24.0, t5 * Up**2),
-            (5.0 / 12.0, t5 * U**3), (2.5, t5 * V**2), (0.5, t1 * U**2),
-        ]
-        want = sum(c * v for c, v in terms)
-        hv = hamiltonians_on_solution((U, Up, Upp, Uppp), (V, Vp), t1, t2, t5)
-        assert hv.H1 == pytest.approx(want, rel=1e-14)
-
-    def test_darboux_coordinates(self):
-        U, Up, Upp, Uppp = 1.3, 0.7, -0.4, 0.9
-        V, Vp = 0.5, -0.2
-        t5 = 0.8
-        hv = hamiltonians_on_solution((U, Up, Upp, Uppp), (V, Vp),
-                                      0.0, 0.0, t5)
-        assert hv.P_U == pytest.approx(
-            0.25 * (3 * U * Up - Uppp / 3.0 - (7.0 / 3.0) * t5 * Up),
-            rel=1e-14)
-        assert hv.P_W == pytest.approx(
-            Upp / 12.0 - t5 * U / 6.0 + (7.0 / 18.0) * t5**2, rel=1e-14)
-        assert hv.Q_V == V and hv.P_V == Vp and hv.Q_W == Up
-
-
 class TestMatrixModel:
     def test_multicritical_root_exact(self):
         val = matrix_model_ideal(1, Fraction(-5, 72), Fraction(1, 4), 0)
@@ -213,6 +236,23 @@ class TestMatrixModel:
             matrix_model_ideal(-1.0, 0.0, 0.0, 0.0)
         with pytest.raises(ZeroDivisionError):
             matrix_model_ideal(1.0, 0.0, 0.0, 0.5)
+
+    def test_multiscaling_exact_in_fractions(self):
+        # sigma = 1 + (5 eta/3 - s) eps leaves J = P(s) eps^3/18 + O(eps^4)
+        # for any s: orders eps^0..eps^2 cancel identically in exact
+        # arithmetic, so J/eps^3 - P/18 shrinks tenfold with eps
+        for s, eta, nu in ((Fraction(5, 2), 1, 0),
+                           (Fraction(3), 1, Fraction(-3, 4)),
+                           (Fraction(7, 5), Fraction(-1, 2), Fraction(1, 3))):
+            P = nu + s**3 / 2 - Fraction(5, 4) * eta * s**2
+            gaps = []
+            for eps in (Fraction(1, 10**3), Fraction(1, 10**4)):
+                tau, t, H = multiscaling_point(Params(eta, 0, nu), eps)
+                J = matrix_model_ideal(1 + (Fraction(5, 3) * eta - s) * eps,
+                                       t, tau, H)
+                assert isinstance(J, Fraction)
+                gaps.append(J / eps**3 - P / 18)
+            assert abs(gaps[1] / gaps[0] - Fraction(1, 10)) < Fraction(1, 100)
 
     @pytest.mark.parametrize("pt", [Params(1.0, 0.0, 0.0),
                                     Params(1.0, 0.05, 0.1),
@@ -232,6 +272,5 @@ class TestFirstCorrection:
         assert val == pytest.approx(28.0 / 375.0, rel=1e-13)
 
     def test_requires_mu_zero(self):
-        from tau34.param_domain import DomainError
         with pytest.raises(DomainError):
             h1_first_correction(Params(1.0, 0.1, 0.0))
