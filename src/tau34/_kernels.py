@@ -56,18 +56,17 @@ def sheet_roots(a2, c0, lam):
     """Sheet-assigned roots, shape (3,) + lam.shape (sheets 1, 2, 3)."""
     lam = np.atleast_1d(np.asarray(lam, dtype=np.complex128))
     r = _cubic_roots(a2, c0, lam.ravel())
-    n = r.shape[1]
-    cols = np.arange(n)
     # sheet 2: the smallest region value (the first one on ties)
     mid = np.argmin(3.0 * r.real**2 - r.imag**2 - 3.0 * a2, axis=0)
+    mid0, mid2 = mid == 0, mid == 2
     # the other two roots in index order; sheet 1 takes the larger real part,
     # the first root on a tie, and a NaN real part as the larger (as argmax)
-    first = r[(mid == 0).view(np.int8), cols]
-    second = r[2 - (mid == 2).view(np.int8), cols]
+    first = np.where(mid0, r[1], r[0])
+    second = np.where(mid2, r[1], r[2])
     x0, x1 = first.real, second.real
     swap = (x1 > x0) | (np.isnan(x1) & ~np.isnan(x0))
-    out = np.empty((3, n), dtype=np.complex128)
+    out = np.empty_like(r)
     out[0] = np.where(swap, second, first)
-    out[1] = r[mid, cols]
+    out[1] = np.where(mid0, r[0], np.where(mid2, r[2], r[1]))
     out[2] = np.where(swap, first, second)
     return out.reshape((3,) + lam.shape)

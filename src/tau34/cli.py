@@ -59,20 +59,10 @@ def emit(report, columns, fmt_name, out_path):
             lines.append(",".join(fmt(rec.get(c, "")) for c in columns))
         text = "\n".join(lines) + "\n"
     else:
-        rows = []
-        for rec in report.records:
-            row = {}
-            for c in columns:
-                v = rec.get(c)
-                if isinstance(v, (np.integer,)):
-                    v = int(v)
-                elif isinstance(v, (np.floating,)):
-                    v = float(v)
-                elif isinstance(v, (np.bool_,)):
-                    v = bool(v)
-                row[c] = v
-            rows.append(row)
-        text = json.dumps(rows, indent=1, sort_keys=True) + "\n"
+        # numpy scalars (np.float64 is a float already) as Python numbers
+        rows = [{c: rec.get(c) for c in columns} for rec in report.records]
+        text = json.dumps(rows, indent=1, sort_keys=True,
+                          default=lambda v: v.item()) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -200,12 +190,12 @@ def certify_point(pt, tol_scale, stokes_ok=None):
         add(f"lensing:{r.contour.kind}", -r.min_signed_value, 0.0,
             ok=r.all_pass)
 
+    # the row keeps the name of the slope fit it replaced
     try:
-        garep = sc.check_g_asymptotics(curve)
-        worst = max(abs(v[0] + 1.0 / 3.0) for v in garep.values())
+        margin = sc.check_g_asymptotics(curve)
     except sc.AsymptoticsError:
-        worst = math.nan    # no slope to report; nan <= tol fails the row
-    add("g-asymptotics-slope", worst, 0.02 * tol_scale)
+        margin = math.nan   # no margin to report; nan <= tol fails the row
+    add("g-asymptotics-slope", margin, 0.02 * tol_scale)
 
     jr = px.jump_residuals(curve)
     add("M-jump-alpha", jr["alpha"], 1e-10 * tol_scale)
@@ -339,6 +329,14 @@ CRITICAL_COLUMNS = ["eta0", "C_down", "tauhat0_exponent", "varpi0_boundary",
                     "normalizer_gap", "c_lead_plus", "c_lead_minus"]
 
 
+def normalizer_exponents(eta0):
+    """tauhat0_exponent and varpi0 at the plus-stratum point eta0."""
+    nu0 = 125.0 * eta0**3 / 108.0
+    return (float(cr.tauhat0_exponent(eta0, nu0, eta0)),
+            te.tau_leading(pd.Params(eta0, 0.0, nu0),
+                           sigma=5.0 * eta0 / 3.0).varpi0)
+
+
 def cmd_critical(args):
     eta_axis = parse_grid(args.grid)[0] if args.grid else [args.eta]
     records = []
@@ -346,11 +344,11 @@ def cmd_critical(args):
         if eta0 <= 0:
             continue
         try:
-            nu0 = 125.0 * eta0**3 / 108.0
-            q = float(cr.tauhat0_exponent(eta0, nu0, eta0))
-            v = te.tau_leading(pd.Params(eta0, 0.0, nu0),
-                               sigma=5.0 * eta0 / 3.0).varpi0
-            gap = abs(q - v) / max(abs(q), abs(v), 1.0)
+            q, v = normalizer_exponents(eta0)
+            # both are eta0^7 times one function of nu0 / eta0^3: below
+            # eta0 = 1 they underflow toward 0, so the gap is read at 1
+            q1, v1 = normalizer_exponents(max(eta0, 1.0))
+            gap = abs(q1 - v1) / max(abs(q1), abs(v1))
         except OverflowError:
             gap = math.inf
         # varpi0 grows like eta0^7: beyond about 1e44 it is not a double

@@ -46,6 +46,9 @@ class ContourSpec:
 
     def points(self):
         r = np.geomspace(self.r_min, self.r_max, self.samples)
+        if self.local_angle == self.direction:
+            # a ray: the blend below would leave every angle at `direction`
+            return self.anchor + r * np.exp(1j * self.direction)
         blend = np.clip(r / self.bend_length, 0.0, 1.0) ** 2
         phi = self.local_angle + (self.direction - self.local_angle) * blend
         return self.anchor + r * np.exp(1j * phi)
@@ -116,19 +119,22 @@ _ORIENT = {
 def verify_inequalities(curve, contours=None, samples=1000):
     """Sampled certification of the four sign conditions; returns reports.
 
-    The samples of all contours go through one `g_sheets_all` call."""
+    The samples of all contours go through one `g_sheets_all` call, which
+    evaluates g on the two sheets each sample's contour compares."""
     if contours is None:
         contours = standard_contours(curve, samples=samples)
     points = [spec.points() for spec in contours]
     if not points:
         return []
-    g = g_sheets_all(curve, np.concatenate(points))
+    pairs = np.repeat([_ORIENT[spec.kind][0] for spec in contours],
+                      [lam.shape[0] for lam in points], axis=0)
+    g = g_sheets_all(curve, np.concatenate(points), pairs.T)
     reports = []
     start = 0
     for spec, lam in zip(contours, points):
-        (i, j), sign = _ORIENT[spec.kind]
+        sign = _ORIENT[spec.kind][1]
         stop = start + lam.shape[0]
-        vals = sign * np.real(g[i - 1, start:stop] - g[j - 1, start:stop])
+        vals = sign * np.real(g[0, start:stop] - g[1, start:stop])
         start = stop
         k = int(np.argmin(vals))
         reports.append(SignReport(contour=spec,

@@ -15,10 +15,10 @@ the uniformization coordinates; the first small-norm correction is the
 residue W1 of M (P1 (+) 0) M^-1 at the left branch point, computed by circle
 quadrature (the integrand is single-valued around the point).
 
-M is evaluated on arrays: `global_M` and `global_M_side` take the
-`SpectralCurve` and an array of lam (or x) and return an (..., 3, 3) stack
+M is evaluated on arrays: `global_M` and `global_M_sides` take the
+`SpectralCurve` and an array of lam (or x) and return (..., 3, 3) stacks
 from one root-kernel call (one stacked companion-matrix eigenvalue call on
-the cuts), and a scalar still gives a 3x3 matrix.  The residue
+the cuts), and a scalar still gives 3x3 matrices.  The residue
 quadrature, the jump residuals and the normalization fit each evaluate all
 their points in one such call and use stacked numpy linear algebra; sums
 run in node order.
@@ -239,44 +239,43 @@ def global_M(curve, lam):
                                    | (flat.real < curve.beta))
     M = np.empty((flat.size, 3, 3), dtype=complex)
     if on_cut.any():
-        M[on_cut] = global_M_side(curve, flat.real[on_cut], "+")
+        M[on_cut] = global_M_sides(curve, flat.real[on_cut])[0]
     if not on_cut.all():
         M[~on_cut] = _M_off_cut(curve, flat[~on_cut])[1]
     return M.reshape(lam.shape + (3, 3))
 
 
-def global_M_side(curve, x, side):
-    """Exact boundary value of M on a cut (side '+' = upper limit).  An
-    array of x gives a stack of shape x.shape + (3, 3)."""
+def global_M_sides(curve, x):
+    """Exact boundary values (M(x + i0), M(x - i0)) of M on a cut, from one
+    eigenvalue call: the lower side's roots are the conjugates of the upper
+    side's.  An array of x gives two stacks of shape x.shape + (3, 3)."""
     x = np.asarray(x, dtype=float)
-    u = _cut_side_roots(curve, x.ravel())
-    if side == "-":
-        u = u.conjugate()
-    M = _phi_rows(u.T, curve.sigma)
-    if side == "-":
-        M[..., 1] *= -1.0
-    return M.reshape(x.shape + (3, 3))
+    u = _cut_side_roots(curve, x.ravel()).T
+    Mp = _phi_rows(u, curve.sigma)
+    Mm = _phi_rows(u.conjugate(), curve.sigma)
+    Mm[..., 1] *= -1.0
+    return Mp.reshape(x.shape + (3, 3)), Mm.reshape(x.shape + (3, 3))
 
 
-def fhat(lam, half=None):
-    """Asymptotic normalization matrix f-hat(lam).
+#: J V^-1 / (i/sqrt 3) in the upper and the lower half plane (`fhat_inv`)
+_FHAT_INV_LEFT = np.array(
+    [[[1, 1, 1], [OMEGA, 1, OMEGA**2], [OMEGA**2, 1, OMEGA]],
+     [[1, 1, 1], [-OMEGA**2, -1, -OMEGA], [OMEGA, 1, OMEGA**2]]]) \
+    / (1j * math.sqrt(3.0))
 
-    f(lam) = (i/sqrt 3) diag(l,1,1/l) V with l = lam^(1/3) and V the
-    third-root Vandermonde, post-multiplied by 1 (+) sigma1 in the upper
-    half plane and sigma3 (+) 1 in the lower.
+
+def fhat_inv(lam):
+    """Inverse of the normalization matrix f-hat(lam) = (i/sqrt 3)
+    diag(l, 1, 1/l) V J, l = lam^(1/3), as a stack lam.shape + (3, 3).
+
+    V is the third-root Vandermonde [[1, w, w^2], [1, 1, 1], [1, w^2, w]],
+    J = 1 (+) sigma1 for Im lam >= 0 and sigma3 (+) 1 below; V^-1 = V^H / 3
+    and J^-1 = J give the inverse J V^H diag(1/l, 1, l) / (i sqrt 3).
     """
-    lam = complex(lam)
-    if half is None:
-        half = "+" if lam.imag >= 0 else "-"
+    lam = np.asarray(lam, dtype=complex)
     t = lam ** (1.0 / 3.0)
-    V = np.array([[1, OMEGA, OMEGA**2], [1, 1, 1], [1, OMEGA**2, OMEGA]],
-                 dtype=complex)
-    f = (1j / math.sqrt(3.0)) * np.diag([t, 1.0, 1.0 / t]) @ V
-    if half == "+":
-        J = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
-    else:
-        J = np.diag([1.0, -1.0, 1.0]).astype(complex)
-    return f @ J
+    d = np.stack([1.0 / t, np.ones_like(t), t], axis=-1)
+    return _FHAT_INV_LEFT[np.where(lam.imag >= 0.0, 0, 1)] * d[..., None, :]
 
 
 #: cut jump factors of M: on [alpha, inf) M+ = M- (1 (+) -i sigma2); on
@@ -349,14 +348,14 @@ def residue_W1(curve, radius_factor=1e-2, n_nodes=256, agreement=1e-8,
 # ---------------------------------------------------------------------------
 
 def jump_residuals(curve, n_points=20):
-    """max |M+ - M- J| over points on each cut (exact side limits)."""
-    xs_a = curve.alpha + np.linspace(0.3, 6.0, n_points)
-    Mp, Mm = global_M_side(curve, xs_a, "+"), global_M_side(curve, xs_a, "-")
-    out = {"alpha": float(np.max(np.abs(Mp - Mm @ JUMP_ALPHA)))}
-    xs_b = curve.beta - np.linspace(0.3, 6.0, n_points)
-    Mp, Mm = global_M_side(curve, xs_b, "+"), global_M_side(curve, xs_b, "-")
-    out["beta"] = float(np.max(np.abs(Mm - Mp @ JUMP_BETA)))
-    return out
+    """max |M+ - M- J| over points on each cut (exact side limits), both
+    cuts in one `global_M_sides` call."""
+    steps = np.linspace(0.3, 6.0, n_points)
+    Mp, Mm = global_M_sides(curve, np.concatenate([curve.alpha + steps,
+                                                   curve.beta - steps]))
+    a, b = slice(None, n_points), slice(n_points, None)
+    return {"alpha": float(np.max(np.abs(Mp[a] - Mm[a] @ JUMP_ALPHA))),
+            "beta": float(np.max(np.abs(Mm[b] - Mp[b] @ JUMP_BETA)))}
 
 
 def normalization_slope(curve, radii=None, arg=0.8):
@@ -364,7 +363,6 @@ def normalization_slope(curve, radii=None, arg=0.8):
     if radii is None:
         radii = np.logspace(3, 6, 12)
     lam = radii * cmath.exp(1j * arg)
-    dev = global_M(curve, lam) @ np.linalg.inv([fhat(z) for z in lam]) \
-        - np.eye(3)
-    devs = [np.linalg.norm(d) for d in dev]
+    dev = global_M(curve, lam) @ fhat_inv(lam) - np.eye(3)
+    devs = np.linalg.norm(dev, axis=(1, 2))
     return float(np.polyfit(np.log(radii), np.log(devs), 1)[0])

@@ -17,8 +17,8 @@ At infinity every sheet shares one phase polynomial: with tau = w^m lam^(1/3)
 (w = exp(2 i pi/3), m fixed by the sheet and half-plane), theta = Theta(tau)
 = (3/7) tau^7 + eta tau^5 + mu tau^2 + nu tau and the sheet root is
 U(tau) = tau (1 + sum_k e_k tau^-k).  `laurent_at_infinity` expands
-g(U(tau)) - Theta(tau) exactly; `check_g_asymptotics` fits the matching
-claim g_j - theta_j = O(lam^(-1/3)) from that expansion.
+g(U(tau)) - Theta(tau) exactly; `check_g_asymptotics` reads the matching
+claim g_j - theta_j = c tau^-1 + O(tau^-2), c != 0, off that expansion.
 
 Sheets are cut along (-inf, beta] (1|2 gluing) and [alpha, inf) (2|3
 gluing), alpha = lam(-a), beta = lam(a).  Side limits on the cuts are exact
@@ -178,10 +178,12 @@ def g_sheet(curve, lam, sheet, side=None):
     return complex(g_of_u(curve, uniformize(curve, lam, sheet, side=side)))
 
 
-def g_sheets_all(curve, lam):
-    """All three g_j over an array of lambda (vectorized, off-cut samples)."""
+def g_sheets_all(curve, lam, sheets=(1, 2, 3)):
+    """g_j over an array of lambda (vectorized, off-cut samples), one row per
+    entry of `sheets`: a sheet number, or an array of them shaped like lam."""
     u = uniformize_all(curve, lam)
-    return g_of_u(curve, u)
+    return g_of_u(curve, np.stack([np.choose(np.subtract(j, 1), u)
+                                   for j in sheets]))
 
 
 def theta_phase(lam, j, p, side=None):
@@ -266,10 +268,12 @@ def branch_coeffs(curve, case=None):
 # ---------------------------------------------------------------------------
 
 EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).smallest_subnormal)
 
 #: rounding allowance in units of eps times the magnitude sum of the terms
 #: a value is built from (measured at most 5 on d_grid20 and on 60 random
-#: interior points); a real mismatch, a wrong sheet or constant, is O(1)
+#: interior points), plus as many subnormal units TINY; a real mismatch, a
+#: wrong sheet or constant, is O(1)
 ROUNDING_ULPS = 64
 
 #: most Laurent terms the remainder bound may ask for (q ~ 0.57)
@@ -286,12 +290,14 @@ class LaurentExpansion:
 
     `root[k]` is e_k in U(tau) = tau sum_k e_k tau^-k (e_0 = 1); `head[i]`
     is the coefficient of tau^(7-i), i = 0..7, and `head_bound[i]` its
-    rounding allowance; `tail[m-1]` is the coefficient of tau^-m.
+    rounding allowance; `tail[m-1]` is the coefficient of tau^-m, and
+    `tail_bound[m-1]` its rounding allowance.
     """
     root: np.ndarray
     head: np.ndarray
     head_bound: np.ndarray
     tail: np.ndarray
+    tail_bound: np.ndarray
 
 
 def _root_series(a2, c, degree):
@@ -339,11 +345,11 @@ def laurent_at_infinity(curve, n_terms):
     theta = np.zeros(8 + n_terms)
     theta[[0, 2, 5, 6]] = (3.0 / 7.0, p.eta, p.mu, p.nu)
     series = _compose(curve.g_coeffs, root, n_terms) - theta
-    magnitude = _compose(np.abs(curve.g_coeffs), np.abs(root), n_terms) \
-        + np.abs(theta)
-    return LaurentExpansion(root=root, head=series[:8],
-                            head_bound=ROUNDING_ULPS * EPS * magnitude[:8],
-                            tail=series[8:])
+    bound = ROUNDING_ULPS * (EPS * (
+        _compose(np.abs(curve.g_coeffs), np.abs(root), n_terms)
+        + np.abs(theta)) + TINY)
+    return LaurentExpansion(root=root, head=series[:8], head_bound=bound[:8],
+                            tail=series[8:], tail_bound=bound[8:])
 
 
 def _laurent_terms(curve, tau_min):
@@ -367,23 +373,22 @@ def _laurent_terms(curve, tau_min):
     return max(n, 1)
 
 
-def check_g_asymptotics(curve, radii=None, arg_upper=0.9, arg_lower=-0.9):
-    """Log-log decay fit of |g_j - theta_perm(j)| on each sheet/half-plane.
+#: w^m of sheet j's root U(w^m lam^(1/3)): row j - 1, column upper/lower
+_SHEET_ROTATION = np.array([[1.0, 1.0], [OMEGA**2, OMEGA], [OMEGA, OMEGA**2]])
 
-    Returns a dict keyed by (sheet, 'upper'|'lower') with entries
-    (slope, max_residual); the matching claim is slope = -1/3.
 
-    The residuals come from the tail (tau^-1, tau^-2, ...) of
-    `laurent_at_infinity`, with as many terms as `_laurent_terms` asks for
-    at the smallest radius.  The head is not evaluated: at |tau| = 100 its
-    rounding-level coefficients times tau^7 would swamp the residual.
-    Instead it must vanish within its rounding bound.  The tail never looks
-    at the kernel's roots, so those must match U(tau) on each sheet at every
-    sample.  Raises AsymptoticsError when the term count exceeds
+def check_g_asymptotics(curve, radii=(1e3, 1e6)):
+    """The matching claim g_j - theta_j = c tau^-1 + O(tau^-2) with c != 0,
+    read off `laurent_at_infinity`; returns the margin of c.
+
+    The head (tau^7 .. tau^0) must vanish within its rounding bound.  The
+    expansion never looks at the kernel's roots, so those must equal U(tau)
+    on every sheet, at each radius on the rays arg lam = +-0.9.  The margin
+    is the rounding bound of c = -h1_0/2 over |c|: small, c is nonzero and
+    every g_j - theta_j decays exactly like lam^(-1/3).  Raises
+    AsymptoticsError when the term count at the smallest radius exceeds
     LAURENT_MAX_TERMS or either check fails.
     """
-    if radii is None:
-        radii = np.logspace(3, 6, 24)
     radii = np.asarray(radii, dtype=float)
     ser = laurent_at_infinity(curve, _laurent_terms(curve,
                                                     radii.min() ** (1.0 / 3.0)))
@@ -391,21 +396,15 @@ def check_g_asymptotics(curve, radii=None, arg_upper=0.9, arg_lower=-0.9):
         raise AsymptoticsError(
             f"tau^7..tau^0 coefficients {ser.head} exceed their rounding "
             f"bound {ser.head_bound}")
-    halves = (("upper", arg_upper, (1, 3, 2)), ("lower", arg_lower, (1, 2, 3)))
-    lam = np.array([radii * cmath.exp(1j * arg) for _, arg, _ in halves])
-    roots = uniformize_all(curve, lam)
-    report = {}
-    for h, (half, _, perm) in enumerate(halves):
-        t = lam[h] ** (1.0 / 3.0)
-        for sheet in (1, 2, 3):
-            x = 1.0 / (OMEGA ** (perm[sheet - 1] - 1) * t)
-            u = np.polynomial.polynomial.polyval(x, ser.root) / x
-            if np.any(np.abs(roots[sheet - 1, h] - u)
-                      > ROUNDING_ULPS * EPS * np.abs(u)):
-                raise AsymptoticsError(
-                    f"sheet {sheet} root is not U(tau) in the {half} "
-                    "half-plane")
-            diffs = np.abs(x * np.polynomial.polynomial.polyval(x, ser.tail))
-            slope = np.polyfit(np.log(radii), np.log(diffs), 1)[0]
-            report[(sheet, half)] = (float(slope), float(diffs.max()))
-    return report
+    lam = np.array([radii * cmath.exp(0.9j), radii * cmath.exp(-0.9j)])
+    x = 1.0 / (_SHEET_ROTATION[:, :, None] * lam ** (1.0 / 3.0))
+    u = np.polynomial.polynomial.polyval(x, ser.root) / x
+    bad = np.argwhere(np.abs(uniformize_all(curve, lam) - u)
+                      > ROUNDING_ULPS * EPS * np.abs(u))
+    if bad.size:
+        sheet, half, _ = bad[0]
+        raise AsymptoticsError(
+            f"sheet {sheet + 1} root is not U(tau) in the "
+            f"{('upper', 'lower')[half]} half-plane")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(ser.tail_bound[0] / abs(ser.tail[0]))

@@ -7,6 +7,10 @@ None of these is run by a `tau34` command:
     g_j - theta_j at infinity, where double precision hits the
     cancellation floor;
   * `fit_branch_exponent`, the sampled power-law fit of `branch_coeffs`;
+  * `fitted_g_asymptotics`, the log-log slope fit of g_j - theta_j on the
+    Laurent tail, which the exact claim of `check_g_asymptotics` replaced;
+  * `fhat`, the normalization matrix whose inverse `parametrix.fhat_inv`
+    writes in closed form;
   * `h1_first_correction`, the closed-form oracle of the residue pairing.
 """
 import cmath
@@ -15,6 +19,7 @@ import math
 import numpy as np
 
 from tau34 import param_domain as pd
+from tau34 import spectral_curve as sc
 from tau34.spectral_curve import uniformize
 
 
@@ -119,6 +124,55 @@ def fit_branch_exponent(curve, point="alpha", n_radii=12, scale_lo=1e-4,
         lam = anchor + r * cmath.exp(1j * direction)
         rho += float(abs(g_difference_mp(curve, lam, pair, dps))) / r**p_snap
     return p_fit, rho / 2.0
+
+
+def fitted_g_asymptotics(curve, radii=None):
+    """Log-log decay fit of |g_j - theta_perm(j)| on each sheet/half-plane.
+
+    Returns a dict keyed by (sheet, 'upper'|'lower') with entries
+    (slope, max_residual); the matching claim is slope = -1/3.  The
+    residuals come from the tail (tau^-1, tau^-2, ...) of
+    `laurent_at_infinity` on the rays arg lam = +-0.9, with as many terms as
+    `_laurent_terms` asks for at the smallest radius.  Where the tau^-1
+    coefficient is small against the tau^-2 one the fit misses -1/3 on
+    [1e3, 1e6]: -0.201 on sheet 1 at (1.1829, 0.1138, 1.1306).
+    """
+    if radii is None:
+        radii = np.logspace(3, 6, 24)
+    radii = np.asarray(radii, dtype=float)
+    ser = sc.laurent_at_infinity(
+        curve, sc._laurent_terms(curve, radii.min() ** (1.0 / 3.0)))
+    report = {}
+    for half, arg, perm in (("upper", 0.9, (1, 3, 2)),
+                            ("lower", -0.9, (1, 2, 3))):
+        t = (radii * cmath.exp(1j * arg)) ** (1.0 / 3.0)
+        for sheet in (1, 2, 3):
+            x = 1.0 / (sc.OMEGA ** (perm[sheet - 1] - 1) * t)
+            diffs = np.abs(x * np.polynomial.polynomial.polyval(x, ser.tail))
+            slope = np.polyfit(np.log(radii), np.log(diffs), 1)[0]
+            report[(sheet, half)] = (float(slope), float(diffs.max()))
+    return report
+
+
+def fhat(lam, half=None):
+    """Asymptotic normalization matrix f-hat(lam), one 3x3 matrix.
+
+    f(lam) = (i/sqrt 3) diag(l,1,1/l) V with l = lam^(1/3) and V the
+    third-root Vandermonde, post-multiplied by 1 (+) sigma1 in the upper
+    half plane and sigma3 (+) 1 in the lower.
+    """
+    lam = complex(lam)
+    if half is None:
+        half = "+" if lam.imag >= 0 else "-"
+    t = lam ** (1.0 / 3.0)
+    w = sc.OMEGA
+    V = np.array([[1, w, w**2], [1, 1, 1], [1, w**2, w]], dtype=complex)
+    f = (1j / math.sqrt(3.0)) * np.diag([t, 1.0, 1.0 / t]) @ V
+    if half == "+":
+        J = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
+    else:
+        J = np.diag([1.0, -1.0, 1.0]).astype(complex)
+    return f @ J
 
 
 def h1_first_correction(p, sigma=None):

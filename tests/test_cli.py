@@ -172,12 +172,10 @@ class TestCertify:
         assert code == 0
 
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "open defect: the sheet-1 g-asymptotics slope is -0.201 here, "
-        "|slope + 1/3| = 0.132 > 0.02; the tau^-1 coefficient -h1_0/2 = "
-        "-0.0127 is small against the tau^-2 one (0.196), so both shape "
-        "the fit on |lambda| in [1e3, 1e6]"))
     def test_small_leading_coefficient_point_passes(self):
+        # the tau^-1 coefficient -h1_0/2 = -0.0127 is small against the
+        # tau^-2 one (0.196): a slope fit on |lambda| in [1e3, 1e6] read
+        # -0.201 here, the exact Laurent claim passes
         recs = certify_point((1.1829, 0.1138, 1.1306), 1.0)
         assert [r["check"] for r in recs if not r["passed"]] == []
 
@@ -386,6 +384,25 @@ class TestOther:
             assert abs(float(c) - 6.0 ** -0.5) < 1e-6
         # the gap is relative: the two exponents are of size eta0^7
         assert float(row[4]) <= 1e-13
+
+    @pytest.mark.parametrize("eta", ["1e-40", "1e-50"])
+    def test_critical_small_eta_gap(self, capsys, eta):
+        # the exponents are of size eta0^7: the gap is relative, and it is
+        # read where they do not underflow; mpmath at double precision
+        # evaluates both at eta0 itself, with no underflow
+        from tau34.critical import tauhat0_exponent
+        from tau34.tau_expansion import tau_leading
+        code, out, _ = run(capsys, "critical", "--eta", eta)
+        assert code == 0
+        gap = float(out.strip().splitlines()[1].split(",")[4])
+        assert 0.0 < gap <= 1e-13
+        mp = pytest.importorskip("mpmath").mp.clone()
+        mp.prec = 53
+        e0 = mp.mpf(float(eta))
+        nu0 = 125 * e0**3 / 108
+        q = tauhat0_exponent(e0, nu0, e0)
+        v = tau_leading(pd.Params(e0, 0.0, nu0), sigma=5 * e0 / 3).varpi0
+        assert abs(q - v) / max(abs(q), abs(v)) <= 1e-13
 
     @pytest.mark.parametrize("eta", ["1e60", "1e120"])
     def test_critical_overflowing_eta_exit_two(self, capsys, eta):

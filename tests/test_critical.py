@@ -20,7 +20,8 @@ from tau34.critical import (GAUSS_ANGLE_ARGMAX, InadmissibleDirection,
 from tau34.param_domain import Params
 from tau34.tau_expansion import leading_hamiltonians, tau_leading
 
-from oracles import mp_g_coeffs, mp_sheet_value, theta_phase_mp
+from oracles import (fitted_g_asymptotics, mp_g_coeffs, mp_sheet_value,
+                     theta_phase_mp)
 
 INV_SQRT6 = 1.0 / math.sqrt(6.0)
 
@@ -57,7 +58,7 @@ def _g_hat_coeffs_mp(mcurve, hbar, mp):
 def sampled_matching_report(mcurve, hbar, radii, dps=50):
     """Test-only oracle: log-log fit of |ghat_j - theta_perm(j)| sampled in
     mpmath, with the radii, rays, sheet permutation and fit of
-    `check_g_asymptotics`.  The sheet roots are Newton-refined in mpmath."""
+    `fitted_g_asymptotics`.  The sheet roots are Newton-refined in mpmath."""
     import mpmath
     mp = mpmath.mp.clone()
     mp.dps = dps
@@ -238,15 +239,17 @@ class TestModifiedCurves:
     def test_plus_matching_slopes(self, n_vec):
         sm = scaling_maps_plus(1.0, n_vec, x=1.0)
         for h in (1e-2, 1e-4):
-            rep = sc.check_g_asymptotics(sm.mcurve.at(h),
-                                         radii=self.MATCH_RADII)
+            rep = fitted_g_asymptotics(sm.mcurve.at(h),
+                                       radii=self.MATCH_RADII)
             for key, (slope, _) in rep.items():
                 assert abs(slope + 1.0 / 3.0) < 0.02, (key, h, slope)
+            # the exact claim holds at the default radii [1e3, 1e6] as well
+            assert sc.check_g_asymptotics(sm.mcurve.at(h)) <= 1e-10, h
 
     @pytest.mark.parametrize("h", [1e-2, 1e-4])
     def test_plus_matching_against_sampled_mp_fit(self, h):
         mc = scaling_maps_plus(1.0, (0.0, -1.0), x=1.0).mcurve
-        got = sc.check_g_asymptotics(mc.at(h), radii=self.MATCH_RADII)
+        got = fitted_g_asymptotics(mc.at(h), radii=self.MATCH_RADII)
         want = sampled_matching_report(mc, h, self.MATCH_RADII)
         assert got.keys() == want.keys()
         for key, (slope, resid) in want.items():

@@ -55,6 +55,23 @@ def _reference_sheet_roots(a2, c0, lam):
     return out.reshape((3,) + lam.shape)
 
 
+def _fancy_index_assignment(a2, r):
+    """Test-only oracle: the sheet assignment of roots r (3, n) by the
+    fancy-index gathers that `np.where` selections replaced."""
+    n = r.shape[1]
+    cols = np.arange(n)
+    mid = np.argmin(3.0 * r.real**2 - r.imag**2 - 3.0 * a2, axis=0)
+    first = r[(mid == 0).view(np.int8), cols]
+    second = r[2 - (mid == 2).view(np.int8), cols]
+    x0, x1 = first.real, second.real
+    swap = (x1 > x0) | (np.isnan(x1) & ~np.isnan(x0))
+    out = np.empty((3, n), dtype=np.complex128)
+    out[0] = np.where(swap, second, first)
+    out[1] = r[mid, cols]
+    out[2] = np.where(swap, first, second)
+    return out
+
+
 #: numpy reuses the temporaries of arrays of 256 KiB and more; the oracle's
 #: `u * (u * u + p)` then multiplies in swapped operand order, which rounds
 #: differently, so it is evaluated on chunks below that size
@@ -149,6 +166,21 @@ class TestAgainstReference:
             want = _reference_sheet_roots(a2, c0, lam)
         assert np.array_equal(_kernels.sheet_roots(a2, c0, lam), want,
                               equal_nan=True)
+
+
+@pytest.mark.parametrize("a2", [0.0, 0.25, 1.0])
+def test_assignment_equals_fancy_index(a2, rng, monkeypatch):
+    # roots from a few values, so that region values and real parts tie,
+    # with NaN and infinite parts among them
+    vals = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, np.nan, np.inf])
+    r = np.empty((3, 6000), dtype=np.complex128)
+    r.real = rng.choice(vals, (3, 6000))
+    r.imag = rng.choice(vals, (3, 6000))
+    monkeypatch.setattr(_kernels, "_cubic_roots", lambda a2_, c0, lam: r)
+    with np.errstate(invalid="ignore"):
+        got = _kernels.sheet_roots(a2, 0.0, np.zeros(6000))
+        want = _fancy_index_assignment(a2, r)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_roots_do_not_depend_on_batch_size(rng):

@@ -26,6 +26,15 @@ def _per_contour_reports(curve, contours):
     return reports
 
 
+def _blended_points(spec):
+    """Test-only oracle: `ContourSpec.points` with the angle blend applied
+    on every contour, rays included."""
+    r = np.geomspace(spec.r_min, spec.r_max, spec.samples)
+    blend = np.clip(r / spec.bend_length, 0.0, 1.0) ** 2
+    phi = spec.local_angle + (spec.direction - spec.local_angle) * blend
+    return spec.anchor + r * np.exp(1j * phi)
+
+
 class TestSeparation:
     def test_reference_point(self):
         ok, dist = gamma_C_separation(ABCoords(math.sqrt(1.25), 10.0 / 3.0,
@@ -119,6 +128,15 @@ class TestBatchedContours:
         got = verify_inequalities(cv, contours=contours)
         assert got == _per_contour_reports(cv, contours)
         assert [r.contour for r in got] == contours
+
+    def test_points_equal_blended_formula(self, d_grid20):
+        curves = [build_curve(p) for p in d_grid20]
+        curves.append(build_curve(Params(1.0, 0.0, 125.0 / 108.0),
+                                  sigma=5.0 / 3.0))
+        for cv in curves:
+            for spec in standard_contours(cv):
+                assert spec.points().tobytes() == \
+                    _blended_points(spec).tobytes(), (cv.params, spec.kind)
 
     def test_empty_contour_list(self):
         cv = build_curve(Params(1.0, 0.0, 0.0))

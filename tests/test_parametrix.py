@@ -12,13 +12,14 @@ from tau34.parametrix import (JUMP_ALPHA, JUMP_BETA, REFLECT_LEFT,
                               REFLECT_RIGHT, SCAL, STOKES_PATTERN,
                               STOKES_PLANES, TRUNCATED_S7, P_k_matrix,
                               StokesData, _exact, _stokes_product,
-                              airy_series, fhat, global_M, global_M_side,
-                              identity3, jump_residuals, normalization_slope,
-                              plane_membership, residue_W1, stokes_check)
+                              _phi_rows, airy_series, fhat_inv, global_M,
+                              global_M_sides, identity3, jump_residuals,
+                              normalization_slope, plane_membership,
+                              residue_W1, stokes_check)
 from tau34.spectral_curve import (OnBranchPoint, _cut_side_roots, build_curve,
                                   g_of_u, uniformize_all)
 
-from oracles import h1_first_correction
+from oracles import fhat, h1_first_correction
 
 
 def _matmul3(a, b):
@@ -191,7 +192,7 @@ class TestGlobalM:
         Mp = global_M(cv_mu, complex(x, eps))
         Mm = global_M(cv_mu, complex(x, -eps))
         assert np.max(np.abs(Mp - Mm @ JUMP_ALPHA)) < 1e-6
-        assert np.max(np.abs(global_M_side(cv_mu, x, "+") - Mp)) < 1e-6
+        assert np.max(np.abs(global_M_sides(cv_mu, x)[0] - Mp)) < 1e-6
 
     def test_normalization_slope(self, cv_mu):
         assert abs(normalization_slope(cv_mu) + 1.0) < 0.05
@@ -217,6 +218,19 @@ class TestGlobalM:
         M = global_M(cv_sym, lam)
         dev = np.linalg.norm(M @ np.linalg.inv(fhat(lam)) - np.eye(3))
         assert dev < 1e-4
+
+    def test_fhat_inv_closed_form(self):
+        # up to |lam| = 1e6, the largest radius of normalization_slope
+        # (at most 1.03e-15 when written); beyond it the condition of
+        # f-hat, ~|lam|^(2/3), shows in inv
+        lam = np.concatenate([np.geomspace(1e-3, 1e6, 19)
+                              * np.exp(1j * a) for a in
+                              (0.8, 3.1, -0.8, -3.1, 0.0, math.pi)])
+        got = fhat_inv(lam)
+        assert got.shape == lam.shape + (3, 3)
+        for z, inv in zip(lam, got):
+            want = np.linalg.inv(fhat(z))
+            assert np.linalg.norm(inv - want) <= ULPS * np.linalg.norm(want)
 
 
 class TestResidue:
@@ -317,7 +331,40 @@ def node_loop_residue(curve, radius_factor=1e-2, n_nodes=256,
     return W1, D @ W1m @ D
 
 
+def one_side_M(curve, x, side):
+    """Test-only oracle: one boundary value of M per eigenvalue call."""
+    x = np.asarray(x, dtype=float)
+    u = _cut_side_roots(curve, x.ravel())
+    if side == "-":
+        u = u.conjugate()
+    M = _phi_rows(u.T, curve.sigma)
+    if side == "-":
+        M[..., 1] *= -1.0
+    return M.reshape(x.shape + (3, 3))
+
+
+def four_call_jump_residuals(curve, n_points=20):
+    """Test-only oracle: `jump_residuals` with one eigenvalue call per cut
+    and side."""
+    xs_a = curve.alpha + np.linspace(0.3, 6.0, n_points)
+    Mp, Mm = one_side_M(curve, xs_a, "+"), one_side_M(curve, xs_a, "-")
+    out = {"alpha": float(np.max(np.abs(Mp - Mm @ JUMP_ALPHA)))}
+    xs_b = curve.beta - np.linspace(0.3, 6.0, n_points)
+    Mp, Mm = one_side_M(curve, xs_b, "+"), one_side_M(curve, xs_b, "-")
+    out["beta"] = float(np.max(np.abs(Mm - Mp @ JUMP_BETA)))
+    return out
+
+
 class TestBatched:
+    def test_jump_residuals_equal_four_calls(self, d_grid20, cv_mu, cv_sym):
+        for cv in [build_curve(p) for p in d_grid20] + [cv_mu, cv_sym]:
+            assert jump_residuals(cv) == four_call_jump_residuals(cv)
+            xs = np.concatenate([cv.alpha + np.geomspace(1e-3, 1e3, 9),
+                                 cv.beta - np.geomspace(1e-3, 1e3, 9)])
+            Mp, Mm = global_M_sides(cv, xs)
+            assert Mp.tobytes() == one_side_M(cv, xs, "+").tobytes()
+            assert Mm.tobytes() == one_side_M(cv, xs, "-").tobytes()
+
     @pytest.mark.parametrize("pt", [(1.0, 0.0, 0.0), (1.0, 0.05, -0.3),
                                     (0.5, -0.05, -0.1), (2.0, 0.1, 0.2)])
     def test_residue_matches_node_loop(self, pt):
@@ -347,11 +394,12 @@ class TestBatched:
     @pytest.mark.parametrize("side", ["+", "-"])
     def test_global_M_side_stack_equals_scalar_calls(self, cv_mu, side):
         cv = cv_mu
+        k = "+-".index(side)
         xs = np.concatenate([cv.alpha + np.linspace(0.3, 6.0, 5),
                              cv.beta - np.linspace(0.3, 6.0, 5)])
-        stack = global_M_side(cv, xs, side)
+        stack = global_M_sides(cv, xs)[k]
         for x, M in zip(xs, stack):
-            one = global_M_side(cv, float(x), side)
+            one = global_M_sides(cv, float(x))[k]
             assert one.shape == (3, 3)
             assert np.max(np.abs(M - one)) <= ULPS * np.max(np.abs(one))
 

@@ -60,7 +60,7 @@ TEST_ONLY = {
 EXTREME = (["certify", "--eta", "1e200"], ["sigma", "--eta", "1e308"],
            ["tau", "--nu", "5"], ["critical", "--eta", "1e30"],
            ["critical", "--eta", "1e120"], ["pi", "--x-end", "3"],
-           ["critical", "--eta", "1e-150"])
+           ["critical", "--eta", "1e-150"], ["critical", "--eta", "1e-50"])
 
 
 def defined_functions():
