@@ -59,10 +59,20 @@ def emit(report, columns, fmt_name, out_path):
             lines.append(",".join(fmt(rec.get(c, "")) for c in columns))
         text = "\n".join(lines) + "\n"
     else:
-        # numpy scalars (np.float64 is a float already) as Python numbers
-        rows = [{c: rec.get(c) for c in columns} for rec in report.records]
-        text = json.dumps(rows, indent=1, sort_keys=True,
-                          default=lambda v: v.item()) + "\n"
+        rows = []
+        for rec in report.records:
+            row = {}
+            for c in columns:
+                v = rec.get(c)
+                if isinstance(v, (np.integer,)):
+                    v = int(v)
+                elif isinstance(v, (np.floating,)):
+                    v = float(v)
+                elif isinstance(v, (np.bool_,)):
+                    v = bool(v)
+                row[c] = v
+            rows.append(row)
+        text = json.dumps(rows, indent=1, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -329,26 +339,26 @@ CRITICAL_COLUMNS = ["eta0", "C_down", "tauhat0_exponent", "varpi0_boundary",
                     "normalizer_gap", "c_lead_plus", "c_lead_minus"]
 
 
-def normalizer_exponents(eta0):
-    """tauhat0_exponent and varpi0 at the plus-stratum point eta0."""
-    nu0 = 125.0 * eta0**3 / 108.0
-    return (float(cr.tauhat0_exponent(eta0, nu0, eta0)),
-            te.tau_leading(pd.Params(eta0, 0.0, nu0),
-                           sigma=5.0 * eta0 / 3.0).varpi0)
-
-
 def cmd_critical(args):
     eta_axis = parse_grid(args.grid)[0] if args.grid else [args.eta]
     records = []
     for eta0 in eta_axis:
         if eta0 <= 0:
             continue
+        # q and v are eta0^7 times a constant: below eta0 = 1 they are
+        # evaluated in mpmath at double precision, whose exponent does not
+        # underflow, and printed rounded to doubles (-0.0 below about 1e-46)
+        e = eta0
+        if eta0 < 1.0:
+            import mpmath
+            mp = mpmath.mp.clone()
+            mp.prec = 53
+            e = mp.mpf(eta0)
         try:
-            q, v = normalizer_exponents(eta0)
-            # both are eta0^7 times one function of nu0 / eta0^3: below
-            # eta0 = 1 they underflow toward 0, so the gap is read at 1
-            q1, v1 = normalizer_exponents(max(eta0, 1.0))
-            gap = abs(q1 - v1) / max(abs(q1), abs(v1))
+            nu0 = 125 * e**3 / 108
+            q = cr.tauhat0_exponent(e, nu0, e)
+            v = te.tau_leading(pd.Params(e, 0.0, nu0), sigma=5 * e / 3).varpi0
+            gap = float(abs(q - v) / max(abs(q), abs(v)))
         except OverflowError:
             gap = math.inf
         # varpi0 grows like eta0^7: beyond about 1e44 it is not a double
@@ -358,8 +368,8 @@ def cmd_critical(args):
         records.append({
             "eta0": eta0,
             "C_down": cr.scaling_constant_plus(eta0, (0.0, -1.0)),
-            "tauhat0_exponent": q,
-            "varpi0_boundary": v,
+            "tauhat0_exponent": float(q),
+            "varpi0_boundary": float(v),
             "normalizer_gap": gap,
             "c_lead_plus": cr.tritronquee_constant(eta0, "plus"),
             "c_lead_minus": cr.tritronquee_constant(-eta0, "minus"),

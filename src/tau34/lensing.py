@@ -46,9 +46,6 @@ class ContourSpec:
 
     def points(self):
         r = np.geomspace(self.r_min, self.r_max, self.samples)
-        if self.local_angle == self.direction:
-            # a ray: the blend below would leave every angle at `direction`
-            return self.anchor + r * np.exp(1j * self.direction)
         blend = np.clip(r / self.bend_length, 0.0, 1.0) ** 2
         phi = self.local_angle + (self.direction - self.local_angle) * blend
         return self.anchor + r * np.exp(1j * phi)

@@ -178,7 +178,7 @@ def g_sheet(curve, lam, sheet, side=None):
     return complex(g_of_u(curve, uniformize(curve, lam, sheet, side=side)))
 
 
-def g_sheets_all(curve, lam, sheets=(1, 2, 3)):
+def g_sheets_all(curve, lam, sheets):
     """g_j over an array of lambda (vectorized, off-cut samples), one row per
     entry of `sheets`: a sheet number, or an array of them shaped like lam."""
     u = uniformize_all(curve, lam)

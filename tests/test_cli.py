@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -387,22 +388,32 @@ class TestOther:
 
     @pytest.mark.parametrize("eta", ["1e-40", "1e-50"])
     def test_critical_small_eta_gap(self, capsys, eta):
-        # the exponents are of size eta0^7: the gap is relative, and it is
-        # read where they do not underflow; mpmath at double precision
-        # evaluates both at eta0 itself, with no underflow
+        # both exponents are eta0^7 times the rational -203125/979776: the
+        # columns print that value rounded to a double (-0.0 at 1e-50, where
+        # doubles underflow), and the gap is read at eta0 itself from the
+        # exponents in mpmath at double precision
+        from fractions import Fraction
         from tau34.critical import tauhat0_exponent
         from tau34.tau_expansion import tau_leading
+        const = Fraction(-203125, 979776)
+        assert tauhat0_exponent(Fraction(1), Fraction(125, 108),
+                                Fraction(1)) == const
         code, out, _ = run(capsys, "critical", "--eta", eta)
         assert code == 0
-        gap = float(out.strip().splitlines()[1].split(",")[4])
-        assert 0.0 < gap <= 1e-13
+        row = [float(c) for c in out.strip().splitlines()[1].split(",")]
         mp = pytest.importorskip("mpmath").mp.clone()
+        mp.dps = 40
+        want = float(mp.mpf(row[0]) ** 7 * const.numerator / const.denominator)
+        for got in row[2:4]:
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+            assert math.copysign(1.0, got) == -1.0
         mp.prec = 53
-        e0 = mp.mpf(float(eta))
+        e0 = mp.mpf(row[0])
         nu0 = 125 * e0**3 / 108
         q = tauhat0_exponent(e0, nu0, e0)
         v = tau_leading(pd.Params(e0, 0.0, nu0), sigma=5 * e0 / 3).varpi0
-        assert abs(q - v) / max(abs(q), abs(v)) <= 1e-13
+        assert row[4] == float(abs(q - v) / max(abs(q), abs(v)))
+        assert 0.0 < row[4] <= 1e-13
 
     @pytest.mark.parametrize("eta", ["1e60", "1e120"])
     def test_critical_overflowing_eta_exit_two(self, capsys, eta):

@@ -7,16 +7,16 @@ from tau34.lensing import (_ORIENT, ContourSpec, SignReport,
                            gamma_C_separation, standard_contours,
                            verify_inequalities)
 from tau34.param_domain import ABCoords, Params, map_abc, viete_roots
-from tau34.spectral_curve import build_curve, g_sheets_all
+from tau34.spectral_curve import build_curve, g_of_u, uniformize_all
 
 
 def _per_contour_reports(curve, contours):
-    """Test-only oracle: one `g_sheets_all` call per contour."""
+    """Test-only oracle: g on all three sheets, one contour at a time."""
     reports = []
     for spec in contours:
         (i, j), sign = _ORIENT[spec.kind]
         lam = spec.points()
-        g = g_sheets_all(curve, lam)
+        g = g_of_u(curve, uniformize_all(curve, lam))
         vals = sign * np.real(g[i - 1] - g[j - 1])
         k = int(np.argmin(vals))
         reports.append(SignReport(contour=spec,
@@ -24,15 +24,6 @@ def _per_contour_reports(curve, contours):
                                   all_pass=bool(vals[k] > 0.0),
                                   worst_point=complex(lam[k])))
     return reports
-
-
-def _blended_points(spec):
-    """Test-only oracle: `ContourSpec.points` with the angle blend applied
-    on every contour, rays included."""
-    r = np.geomspace(spec.r_min, spec.r_max, spec.samples)
-    blend = np.clip(r / spec.bend_length, 0.0, 1.0) ** 2
-    phi = spec.local_angle + (spec.direction - spec.local_angle) * blend
-    return spec.anchor + r * np.exp(1j * phi)
 
 
 class TestSeparation:
@@ -128,15 +119,6 @@ class TestBatchedContours:
         got = verify_inequalities(cv, contours=contours)
         assert got == _per_contour_reports(cv, contours)
         assert [r.contour for r in got] == contours
-
-    def test_points_equal_blended_formula(self, d_grid20):
-        curves = [build_curve(p) for p in d_grid20]
-        curves.append(build_curve(Params(1.0, 0.0, 125.0 / 108.0),
-                                  sigma=5.0 / 3.0))
-        for cv in curves:
-            for spec in standard_contours(cv):
-                assert spec.points().tobytes() == \
-                    _blended_points(spec).tobytes(), (cv.params, spec.kind)
 
     def test_empty_contour_list(self):
         cv = build_curve(Params(1.0, 0.0, 0.0))
