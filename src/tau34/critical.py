@@ -91,14 +91,12 @@ def nu_critical(eta, mu):
 
     At nu = nu_critical the distinguished root (the largest real root
     above max(5 eta/3, 0) of the cleared quintic) collides with another
-    root; above it no real root is left above that floor.  Solves the
-    surface parametrization for |mu| (monotone in sigma on
-    sigma > max(5 eta/3, 0)) and returns nu(sigma), with sigma to 1e-14
-    absolute.  It is nan where that overflows double precision (|eta|
-    beyond about 1e102, or |mu| so large that (5 eta - 3 sigma)^2 does).
+    root; above it no real root is left above that floor.  Bisects the
+    surface parametrization |mu|(sigma), increasing above that floor, down
+    to two adjacent doubles and returns nu(sigma) at the nearer.  It is nan
+    where that overflows double precision (|eta| beyond about 1e102, or
+    |mu| so large that (5 eta - 3 sigma)^2 does).
     """
-    from scipy.optimize import brentq
-
     mu = abs(mu)
     floor = max(5.0 * eta / 3.0, 0.0)
 
@@ -110,18 +108,18 @@ def nu_critical(eta, mu):
     try:
         if mu == 0.0:
             return 125.0 * eta**3 / 108.0 if eta > 0 else 0.0
-        # mu_of(floor) = 0; the bracket starts 1e-12 above the floor unless
-        # |mu| is so small that mu_of already exceeds it there.  Where it
-        # exceeds it even at the floor (the rounding of 5 eta - 3 floor),
-        # the root lies within rounding of the floor.
-        s = floor + 1e-12
-        if mu_of(s) > mu:
-            s = floor
-        if mu_of(s) < mu:
-            s_hi = max(s * 2.0, 1.0)
-            while mu_of(s_hi) < mu:
-                s_hi *= 2.0
-            s = brentq(lambda t: mu_of(t) - mu, s, s_hi, xtol=1e-14)
+        # mu_of(floor) is 0 up to the rounding of 5 eta - 3 floor; where
+        # that already reaches |mu| the root lies within rounding of floor
+        lo = hi = floor
+        if mu_of(lo) < mu:
+            hi = max(2.0 * lo, 1.0)
+            while mu_of(hi) < mu:
+                lo, hi = hi, 2.0 * hi
+            mid = 0.5 * (lo + hi)
+            while lo < mid < hi:    # mu_of(lo) < mu <= mu_of(hi)
+                lo, hi = (mid, hi) if mu_of(mid) < mu else (lo, mid)
+                mid = 0.5 * (lo + hi)
+        s = min((lo, hi), key=lambda t: abs(mu_of(t) - mu))
         return surface_param(s, eta)[0]
     except OverflowError:
         return math.nan

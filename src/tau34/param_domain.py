@@ -19,8 +19,6 @@ and produces derivative towers of the root by implicit differentiation.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class DomainError(ValueError):
     """Input outside the documented parameter domain."""
@@ -111,15 +109,6 @@ def eval_P(sigma, p):
         value += 6.0 * mu**2 / den**2
         d_dsigma += 36.0 * mu**2 / den**3
     return value, d_dsigma
-
-
-def _param_gradient(sigma, p):
-    """(dP/deta, dP/dmu, dP/dnu) at fixed sigma."""
-    if p.mu == 0.0:
-        return np.array([-1.25 * sigma**2, 0.0, 1.0])
-    den = 5.0 * p.eta - 3.0 * sigma
-    return np.array([-1.25 * sigma**2 - 60.0 * p.mu**2 / den**3,
-                     12.0 * p.mu / den**2, 1.0])
 
 
 def _newton(sigma, p):
@@ -269,6 +258,11 @@ def sigma_jets(p, depth=1, sigma=None):
     if depth >= 4:
         tower.append((-15.0 * n2**3 + 10.0 * n1 * n2 * n3 - n1**2 * n4)
                      / n1**7)
-    grad = _param_gradient(sigma, p)
+    # P_nu = 1; P_eta and P_mu at fixed s
+    P_eta, P_mu = -1.25 * sigma**2, 0.0
+    if p.mu != 0.0:
+        den = 5.0 * p.eta - 3.0 * sigma
+        P_eta -= 60.0 * p.mu**2 / den**3
+        P_mu = 12.0 * p.mu / den**2
     return SigmaJets(sigma=sigma, dnu=tuple(tower),
-                     dmu=-grad[1] / Ps, deta=-grad[0] / Ps)
+                     dmu=-P_mu / Ps, deta=-P_eta / Ps)

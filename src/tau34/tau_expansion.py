@@ -5,11 +5,14 @@ Contents:
     leading free energy varpi0 / one-loop factor chi;
   * the order-by-order solution (u_k, v_k) of the rescaled string equation,
     carried as nu-derivative jets so residual evaluation is analytic;
-  * the flow-compatibility and tau-differential consistency checks.
+  * the flow-compatibility and tau-differential consistency checks, whose
+    first derivatives along the branch-equation root are complex steps of
+    the closed forms (exact to rounding; no finite differences).
 
-All scalar formulas are dtype-generic (floats or mpmath): residual-scaling
-tests at hbar = 1e-4 sit below double precision, so jets can be built in
-mpmath via the dps argument.
+All scalar formulas are written once over (eta, mu, sigma) and are
+dtype-generic (floats, complex numbers or mpmath): residual-scaling tests at
+hbar = 1e-4 sit below double precision, so jets can be built in mpmath via
+the dps argument.
 """
 from dataclasses import dataclass
 
@@ -47,11 +50,8 @@ class ExpansionJet:
         return self.v[0][0]
 
 
-def leading_hamiltonians(p, sigma=None):
-    """h1, h2, h5 (closed forms at the branch-equation root)."""
-    if sigma is None:
-        sigma = pd.solve_sigma(p).sigma
-    eta, mu = p.eta, p.mu
+def _hamiltonians(eta, mu, sigma):
+    """(h1, h2, h5) over scalars: floats, complex numbers or mpmath."""
     den = 5.0 * eta - 3.0 * sigma
     h1 = -sigma**3 * (20.0 * eta - 9.0 * sigma) / 24.0
     h2 = -mu * sigma**2
@@ -61,14 +61,11 @@ def leading_hamiltonians(p, sigma=None):
         h2 += 16.0 * mu**3 / den**3
         h5 += 2.5 * mu**2 * sigma**2 * (5.0 * eta - 4.0 * sigma) / den**2 \
             - 30.0 * mu**4 / den**4
-    return LeadingHamiltonians(h1_0=h1, h2_0=h2, h5_0=h5)
+    return h1, h2, h5
 
 
-def tau_leading(p, sigma=None):
-    """varpi0 and chi; chi = -2(5 eta - 3 s) dP/ds identically."""
-    if sigma is None:
-        sigma = pd.solve_sigma(p).sigma
-    eta, mu = p.eta, p.mu
+def _tau(eta, mu, sigma):
+    """(varpi0, chi) over scalars: floats, complex numbers or mpmath."""
     den = 5.0 * eta - 3.0 * sigma
     varpi0 = -sigma**5 * (54.0 * sigma**2 - 245.0 * eta * sigma
                           + 280.0 * eta**2) / 1344.0
@@ -78,7 +75,21 @@ def tau_leading(p, sigma=None):
                                         + 27.0 * sigma**2) / (8.0 * den**2)
                    + mu**4 * (25.0 * eta - 24.0 * sigma) / den**4)
         chi -= 72.0 * mu**2 / den**2
-    return TauLeading(varpi0=varpi0, chi=chi)
+    return varpi0, chi
+
+
+def leading_hamiltonians(p, sigma=None):
+    """h1, h2, h5 (closed forms at the branch-equation root)."""
+    if sigma is None:
+        sigma = pd.solve_sigma(p).sigma
+    return LeadingHamiltonians(*_hamiltonians(p.eta, p.mu, sigma))
+
+
+def tau_leading(p, sigma=None):
+    """varpi0 and chi; chi = -2(5 eta - 3 s) dP/ds identically."""
+    if sigma is None:
+        sigma = pd.solve_sigma(p).sigma
+    return TauLeading(*_tau(p.eta, p.mu, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +211,21 @@ def string_residual(p, jet, hbar):
     return abs(r1), abs(r2)
 
 
+def _along_root(f, p, jets):
+    """(d/deta, d/dmu, d/dnu) of the real values f(eta, mu, s) returns, with
+    s = s(eta, mu, nu) the root, by the complex step (Squire & Trapp, SIAM
+    Rev. 40, 1998): d/dx f = f_x + f_s s_x is Im f(p + i h e_x, s + i h s_x)/h
+    up to O(h^2) relative, with no difference taken, so h = 1e-30 leaves
+    rounding alone.  f must be analytic; mu != 0 is its only comparison."""
+    h, s = 1e-30, jets.sigma
+    return tuple(
+        tuple(v.imag / h for v in f(complex(p.eta, h * de),
+                                    complex(p.mu, h * dm),
+                                    complex(s, h * ds)))
+        for de, dm, ds in ((1.0, 0.0, jets.deta), (0.0, 1.0, jets.dmu),
+                           (0.0, 0.0, jets.dnu[1])))
+
+
 def flow_compatibility(p, sigma=None):
     """Residuals of the three leading-order flow identities.
 
@@ -207,59 +233,36 @@ def flow_compatibility(p, sigma=None):
       (ii)  dv0/dmu + u0 du0/dnu
       (iii) du0/deta - d/dnu [u0^3/4 - v0^2/2 - (5/3) eta u0^2] - 4/3
 
-    computed from the implicit-differentiation jets (no finite differences).
+    with u0 = s and v0 = -2 mu/(5 eta - 3 s), differentiated along the root
+    by the complex step (no finite differences).
     """
     jets = pd.sigma_jets(p, depth=1, sigma=sigma)
-    s, sp_ = jets.dnu
-    eta, mu = p.eta, p.mu
-    den = 5.0 * eta - 3.0 * s
-    v0 = -2.0 * mu / den
-    dv0_dnu = -6.0 * mu * sp_ / den**2
-    dv0_dmu = -2.0 / den - 6.0 * mu * jets.dmu / den**2
-    r1 = jets.dmu + 2.0 * dv0_dnu
-    r2 = dv0_dmu + s * sp_
-    bracket = 0.75 * s * s * sp_ - v0 * dv0_dnu - (10.0 / 3.0) * eta * s * sp_
-    r3 = jets.deta - bracket - 4.0 / 3.0
-    return r1, r2, r3
+
+    def fields(eta, mu, s):
+        v0 = -2.0 * mu / (5.0 * eta - 3.0 * s)
+        return s, v0, s**3 / 4 - v0**2 / 2 - (5.0 / 3.0) * eta * s**2
+
+    (du_deta, _, _), (du_dmu, dv_dmu, _), (du_dnu, dv_dnu, dbracket_dnu) = \
+        _along_root(fields, p, jets)
+    return (du_dmu + 2.0 * dv_dnu,
+            dv_dmu + jets.sigma * du_dnu,
+            du_deta - dbracket_dnu - 4.0 / 3.0)
 
 
-def dlogtau_consistency(p, step=1e-5, sigma=None):
+def dlogtau_consistency(p, sigma=None):
     """Residuals of the six tau-differential identities at p.
 
-    Gradient identities (central differences of varpi0, relative scale):
+    Gradient identities:
         d varpi0/d nu - h1/2, d varpi0/d mu - h2/2, d varpi0/d eta - h5/2
     and closedness cross-partials of (h1, h2, h5)/2 in (nu, mu, eta).
-    The branch equation is solved once at p and once at each of the six
-    points p +- h e_var, which every difference in var shares.
+    Every derivative is a complex step along the root, so the branch
+    equation is solved at p alone, and only when sigma is not given.
     """
-    h = leading_hamiltonians(p, sigma=sigma)
-    varpi0, h1, h2, h5 = range(4)
-    ends = {}
-    for k, var in enumerate(("eta", "mu", "nu")):
-        hh = step * (1.0 + abs(getattr(p, var)))
-        d = [0, 0, 0]
-        d[k] = hh
-        vals = []
-        for q in (pd.Params(p.eta + d[0], p.mu + d[1], p.nu + d[2]),
-                  pd.Params(p.eta - d[0], p.mu - d[1], p.nu - d[2])):
-            sigma = pd.solve_sigma(q).sigma
-            hq = leading_hamiltonians(q, sigma=sigma)
-            vals.append((tau_leading(q, sigma=sigma).varpi0,
-                         hq.h1_0, hq.h2_0, hq.h5_0))
-        ends[var] = (hh, vals)
-
-    def fd(i, var):
-        hh, (plus, minus) = ends[var]
-        return (plus[i] - minus[i]) / (2.0 * hh)
-
-    grad = (
-        fd(varpi0, "nu") - 0.5 * h.h1_0,
-        fd(varpi0, "mu") - 0.5 * h.h2_0,
-        fd(varpi0, "eta") - 0.5 * h.h5_0,
-    )
-    closed = (
-        fd(h1, "mu") - fd(h2, "nu"),
-        fd(h1, "eta") - fd(h5, "nu"),
-        fd(h2, "eta") - fd(h5, "mu"),
-    )
+    jets = pd.sigma_jets(p, depth=1, sigma=sigma)
+    h1, h2, h5 = _hamiltonians(p.eta, p.mu, jets.sigma)
+    d_eta, d_mu, d_nu = _along_root(
+        lambda eta, mu, s: (_tau(eta, mu, s)[0], *_hamiltonians(eta, mu, s)),
+        p, jets)
+    grad = (d_nu[0] - 0.5 * h1, d_mu[0] - 0.5 * h2, d_eta[0] - 0.5 * h5)
+    closed = (d_mu[1] - d_nu[2], d_eta[1] - d_nu[3], d_eta[2] - d_mu[3])
     return grad, closed

@@ -11,7 +11,10 @@ None of these is run by a `tau34` command:
     Laurent tail, which the exact claim of `check_g_asymptotics` replaced;
   * `fhat`, the normalization matrix whose inverse `parametrix.fhat_inv`
     writes in closed form;
-  * `h1_first_correction`, the closed-form oracle of the residue pairing.
+  * `h1_first_correction`, the closed-form oracle of the residue pairing;
+  * `fd_dlogtau_consistency`, the tau-differential identities by central
+    differences with six neighbour solves, which the complex step of
+    `tau_expansion.dlogtau_consistency` replaced.
 """
 import cmath
 import math
@@ -20,6 +23,7 @@ import numpy as np
 
 from tau34 import param_domain as pd
 from tau34 import spectral_curve as sc
+from tau34 import tau_expansion as te
 from tau34.spectral_curve import uniformize
 
 
@@ -189,3 +193,41 @@ def h1_first_correction(p, sigma=None):
         sigma = pd.solve_sigma(p).sigma
     s, e = sigma, p.eta
     return (9.0 * s - 5.0 * e) / (6.0 * s**2 * (5.0 * e - 3.0 * s) ** 2)
+
+
+def fd_dlogtau_consistency(p, step=1e-5):
+    """The six residuals of `tau_expansion.dlogtau_consistency` by central
+    differences with the step step * (1 + |x|) in each coordinate x.
+
+    The branch equation is solved at p and at each of the six neighbours
+    p +- h e_x; within about the step of the critical surface a neighbour
+    leaves D and `solve_sigma` raises BoundaryReached.  The truncation error
+    is O(h^2) relative: up to about 5e-9 at the default step.
+    """
+    h = te.leading_hamiltonians(p)
+    ends = {}
+    for k, var in enumerate(("eta", "mu", "nu")):
+        hh = step * (1.0 + abs(getattr(p, var)))
+        d = [0.0, 0.0, 0.0]
+        d[k] = hh
+        vals = []
+        for q in (pd.Params(p.eta + d[0], p.mu + d[1], p.nu + d[2]),
+                  pd.Params(p.eta - d[0], p.mu - d[1], p.nu - d[2])):
+            sigma = pd.solve_sigma(q).sigma
+            hq = te.leading_hamiltonians(q, sigma=sigma)
+            vals.append((te.tau_leading(q, sigma=sigma).varpi0,
+                         hq.h1_0, hq.h2_0, hq.h5_0))
+        ends[var] = (hh, vals)
+
+    def fd(i, var):
+        hh, (plus, minus) = ends[var]
+        return (plus[i] - minus[i]) / (2.0 * hh)
+
+    varpi0, h1, h2, h5 = range(4)
+    grad = (fd(varpi0, "nu") - 0.5 * h.h1_0,
+            fd(varpi0, "mu") - 0.5 * h.h2_0,
+            fd(varpi0, "eta") - 0.5 * h.h5_0)
+    closed = (fd(h1, "mu") - fd(h2, "nu"),
+              fd(h1, "eta") - fd(h5, "nu"),
+              fd(h2, "eta") - fd(h5, "mu"))
+    return grad, closed

@@ -145,10 +145,25 @@ class TestSurface:
     @pytest.mark.parametrize("eta,mu", [(-1.0, 1e-7), (0.0, 7e-142),
                                         (1.0, 1e-30)])
     def test_nu_critical_tiny_mu(self, eta, mu):
-        # mu_of(floor + 1e-12) already exceeds |mu|: the bracket starts at
-        # the floor, and the surface meets the mu = 0 value
+        # the root sigma lies within about 1e-15 of the floor, and the
+        # surface meets the mu = 0 value
         assert nu_critical(eta, mu) == pytest.approx(nu_critical(eta, 0.0),
                                                      rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("eta,mu", [(-1.0, 1e-7), (1.0, 0.05),
+                                        (0.5, -0.2), (-2.0, 3.0)])
+    def test_nu_critical_against_mpmath(self, eta, mu):
+        # (-1, 1e-7): sigma is about 1.2e-15, and a 1e-14 absolute stop on
+        # sigma returned -0.0 for the surface at about -2.4e-15
+        import mpmath
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        e, m = mp.mpf(eta), abs(mp.mpf(mu))
+        s = mp.findroot(lambda t: mp.sqrt(2 * t) / 12 * (5 * e - 3 * t) ** 2
+                        - m, (max(5 * e / 3, 0), 10), solver="anderson")
+        want = -(5 * s / 12) * (5 * e**2 - 9 * e * s + 3 * s**2)
+        assert nu_critical(eta, mu) == pytest.approx(float(want), rel=1e-14,
+                                                     abs=0.0)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False),

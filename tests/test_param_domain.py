@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from tau34.param_domain import (BOUNDARY_MARGIN, NEWTON_TOL, ABCoords,
                                 BoundaryReached, DomainError, Params,
-                                SigmaSolution, _is_multiple,
-                                _param_gradient, eval_P, in_domain_D,
-                                map_abc, sigma_jets, solve_sigma,
-                                viete_roots)
+                                SigmaSolution, _is_multiple, eval_P,
+                                in_domain_D, map_abc, sigma_jets,
+                                solve_sigma, viete_roots)
 
 
 class TestEvalP:
@@ -104,6 +103,15 @@ def _reference_newton(sigma, p, maxit=5):
     return sigma, value, dP
 
 
+def _reference_gradient(sigma, p):
+    """(dP/deta, dP/dmu, dP/dnu) at fixed sigma."""
+    if p.mu == 0.0:
+        return np.array([-1.25 * sigma**2, 0.0, 1.0])
+    den = 5.0 * p.eta - 3.0 * sigma
+    return np.array([-1.25 * sigma**2 - 60.0 * p.mu**2 / den**3,
+                     12.0 * p.mu / den**2, 1.0])
+
+
 def _reference_solve_sigma(p, reference=None):
     """Test-only oracle: continue the root 2.5 eta of the reference ray along
     the straight segment to p (Euler predictor, Newton corrector, step
@@ -123,7 +131,7 @@ def _reference_solve_sigma(p, reference=None):
         pt = Params(*(start + (t + dt) * (target - start)))
         here = Params(*(start + t * (target - start)))
         _, dP = eval_P(sigma, here)
-        grad = _param_gradient(sigma, here)
+        grad = _reference_gradient(sigma, here)
         pred = sigma - dt * float(grad @ (target - start)) / dP
         got = _reference_newton(pred, pt)
         bad = got is None

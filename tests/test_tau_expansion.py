@@ -10,7 +10,7 @@ from tau34.tau_expansion import (dlogtau_consistency, expansion_jet,
                                  flow_compatibility, leading_hamiltonians,
                                  string_residual, tau_leading)
 
-from oracles import h1_first_correction
+from oracles import fd_dlogtau_consistency, h1_first_correction
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +152,24 @@ class TestDlogTau:
             assert abs(r) < 1e-6
 
     def test_identities_sample(self, rng):
+        # the complex-step rows against the central-difference oracle,
+        # whose own truncation error is up to about 5e-9 relative
         from conftest import random_domain_points
         for p in random_domain_points(rng, 10):
             grad, closed = dlogtau_consistency(p)
             scale = 1.0 + abs(tau_leading(p).varpi0)
             assert max(map(abs, grad)) < 1e-6 * scale
             assert max(map(abs, closed)) < 1e-6 * scale
+            fd_grad, fd_closed = fd_dlogtau_consistency(p)
+            for got, want in zip(grad + closed, fd_grad + fd_closed):
+                assert abs(got - want) < 1e-7 * scale
+
+    def test_identities_exact_on_grid(self, d_grid20):
+        # exact to rounding: no step, so no truncation error
+        for p in d_grid20:
+            grad, closed = dlogtau_consistency(p)
+            scale = 1.0 + abs(tau_leading(p).varpi0)
+            assert max(map(abs, grad + closed)) <= 1e-12 * scale
 
 
 class TestExpansion:
