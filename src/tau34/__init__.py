@@ -6,16 +6,13 @@ degeneration."""
 
 __version__ = "0.1.0"
 
-from .param_domain import (ABCoords, BoundaryReached, Params, eval_P,
-                           in_domain_D, map_abc, sigma_jets, solve_sigma,
-                           viete_roots)
+from .param_domain import (BoundaryReached, Params, eval_P, in_domain_D,
+                           sigma_jets, solve_sigma)
 from .spectral_curve import (SpectralCurve, branch_coeffs, build_curve,
-                             check_g_asymptotics, g_sheet, theta_phase,
-                             uniformize)
+                             check_g_asymptotics)
 
 __all__ = [
-    "ABCoords", "BoundaryReached", "Params", "SpectralCurve",
-    "branch_coeffs", "build_curve", "check_g_asymptotics", "eval_P",
-    "g_sheet", "in_domain_D", "map_abc", "sigma_jets", "solve_sigma",
-    "theta_phase", "uniformize", "viete_roots",
+    "BoundaryReached", "Params", "SpectralCurve", "branch_coeffs",
+    "build_curve", "check_g_asymptotics", "eval_P", "in_domain_D",
+    "sigma_jets", "solve_sigma",
 ]

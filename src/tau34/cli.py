@@ -8,7 +8,7 @@ bit-identical across runs; numbers are written with 17 significant digits.
 
 Exit codes: 0 success, 1 certification failure, 2 usage/config error or a
 solver failure (a point outside the domain, a Painleve I solve that meets a
-pole).
+pole, a residue quadrature that does not settle).
 """
 import argparse
 import functools
@@ -218,14 +218,19 @@ def certify_point(pt, tol_scale, stokes_ok=None):
     add("stokes-constraint", 0.0 if stokes_ok else 1.0, 0.0, ok=stokes_ok)
 
     if not boundary:
-        tl = te.tau_leading(p, sigma=sigma)
+        try:
+            tl = te.tau_leading(p, sigma=sigma)
+            grad, closed = te.dlogtau_consistency(p, sigma=sigma)
+            flows = te.flow_compatibility(p, sigma=sigma)
+        except OverflowError:
+            # sigma**5 leaves double range once sigma passes about 1e61
+            add("tau:overflow", 1.0, 0.0, ok=False)
+            return records
         scale = 1.0 + abs(tl.varpi0)
-        grad, closed = te.dlogtau_consistency(p, sigma=sigma)
         add("dlogtau-gradients", max(map(abs, grad)) / scale,
             1e-6 * tol_scale)
         add("dlogtau-closedness", max(map(abs, closed)) / scale,
             1e-6 * tol_scale)
-        flows = te.flow_compatibility(p, sigma=sigma)
         add("flow-compatibility", max(map(abs, flows)), 1e-10 * tol_scale)
         # P depends on mu^2 only: this is the dP/dsigma solve_sigma returns
         dP = pd.eval_P(sigma, p)[1]
@@ -283,8 +288,13 @@ def cmd_tau(args):
     def work(pt):
         p = pd.Params(*pt)
         sol = pd.solve_sigma(p)
-        tl = te.tau_leading(p, sigma=sol.sigma)
-        h = te.leading_hamiltonians(p, sigma=sol.sigma)
+        try:
+            tl = te.tau_leading(p, sigma=sol.sigma)
+            h = te.leading_hamiltonians(p, sigma=sol.sigma)
+        except OverflowError:
+            raise pd.DomainError(
+                f"sigma = {sol.sigma!r}: the tau data overflow double "
+                "precision") from None
         return {"eta": pt[0], "mu": pt[1], "nu": pt[2], "sigma": sol.sigma,
                 "varpi0": tl.varpi0, "chi": tl.chi, "h1_0": h.h1_0,
                 "h2_0": h.h2_0, "h5_0": h.h5_0}
@@ -490,7 +500,8 @@ def main(argv=None):
     try:
         args = apply_config(args, argv)
         report, columns = args.func(args)
-    except (ConfigError, ValueError, cr.PoleEncountered) as exc:
+    except (ConfigError, ValueError, cr.PoleEncountered,
+            px.QuadratureError) as exc:
         print(f"tau34: error: {exc}", file=sys.stderr)
         return 2
     report.wall_time = time.perf_counter() - t0

@@ -1,12 +1,12 @@
-"""Critical-surface geometry, modified curves, scaling maps and the
-Painleve I degeneration.
+"""Critical-surface geometry and the Painleve I degeneration.
 
 The boundary of the domain D is (part of) the zero set of the quintic
 discriminant; its two distinguished curves are nu = (125/108) eta^3
-(eta > 0, "plus stratum") and nu = 0 (eta < 0, "minus stratum").  Around
-points of either stratum the spectral curve is deformed into a modified
-curve whose g-functions match phases with slowly drifting coefficients;
-conformal scaling maps then produce the Painleve I variables.
+(eta > 0, "plus stratum") and nu = 0 (eta < 0, "minus stratum").  Near
+either stratum, with the coefficients drifting as below, the double-scaled
+branch-equation root follows the pole-free Painleve I branch:
+`tritronquee_constant` reads its leading coefficient off the branch
+equation, and `pi_integrate` solves Painleve I itself.
 
 Conventions: Painleve I is q'' = 6 q^2 + x, on the branch seeded by
 q ~ +sqrt(-x/6) as x -> -inf.  About the plus-stratum point eta0 > 0
@@ -19,15 +19,13 @@ quadratic Taylor polynomial (at the plus-stratum point) of the nu-analytic
 part of varpi0.  It agrees with varpi0 and its gradient on the stratum, and
 its differential cancels the leading phase-pairing residues.
 """
-import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import spectral_curve as sc
-from .param_domain import DomainError, Params
+from .param_domain import DomainError
 
 
 class PoleEncountered(RuntimeError):
@@ -144,188 +142,17 @@ def gauss_angle_max():
 
 
 # ---------------------------------------------------------------------------
-# modified spectral curves
+# scaling constant
 # ---------------------------------------------------------------------------
-
-def _plus_deformation(eta0, d_eta, d_nu):
-    """Deformation s_a d_a(u) + s_c d_c(u) of g (ascending, degree 5).
-
-    ghat(u) = g_crit(u) + s_a d_a(u) + s_c d_c(u) matches phases with
-    (eta0 + d_eta, 0, nu0 + d_nu) when
-
-        s_a = [ d_nu + (36/125) eta0^-2 d_eta ] / Cd
-        s_c = [ -d_nu + (125/36) eta0^2 d_eta ] / Cd
-        Cd  = (125/36) eta0^2 + (36/125) eta0^-2;
-
-    d_a contributes lam^(5/3) + (125/36) eta0^2 lam^(1/3) at infinity and
-    d_c contributes lam^(5/3) - (36/125) eta0^-2 lam^(1/3).
-    """
-    q = 125.0 * eta0**2 / 36.0
-    r = 36.0 / (125.0 * eta0**2)
-    s_a = (d_nu + r * d_eta) / (q + r)
-    s_c = (-d_nu + q * d_eta) / (q + r)
-    d_a = np.array([0.0, 125.0 * eta0**2 / 18.0, 0.0,
-                    -25.0 * eta0 / 6.0, 0.0, 1.0])
-    d_c = np.array([0.0, q - r, 0.0, -25.0 * eta0 / 6.0, 0.0, 1.0])
-    return s_a * d_a + s_c * d_c
-
-
-@dataclass(frozen=True)
-class ModifiedCurve:
-    """Modified curve about a critical point.
-
-    The lam-polynomial is frozen at the critical curve `base` and the
-    g-polynomial drifts with (eta_hat(h), nu_hat(h)); `at(h)` is the
-    ordinary SpectralCurve with that g-polynomial and the phases of
-    (eta_hat, 0, nu_hat).  For eta0 > 0 `base` is the plus-stratum curve
-    (sigma = 5 eta0/3); for eta0 < 0 it is the pure cube lam = u^3.
-    """
-    eta0: float
-    base: sc.SpectralCurve
-    eta_hat_fn: object           # hbar -> eta_hat
-    nu_hat_fn: object            # hbar -> nu_hat
-
-    def at(self, hbar):
-        eh = self.eta_hat_fn(hbar)
-        nh = self.nu_hat_fn(hbar)
-        if self.eta0 < 0:
-            # on lam = u^3 the sheet root is tau itself, so ghat = Theta
-            g = np.array([0.0, nh, 0.0, 0.0, 0.0, eh, 0.0, 3.0 / 7.0])
-        else:
-            g = self.base.g_coeffs.copy()
-            g[:6] += _plus_deformation(self.eta0, eh - self.eta0,
-                                       nh - self.base.params.nu)
-        return replace(self.base, params=Params(eh, 0.0, nh), g_coeffs=g)
-
-
-def modified_curve(eta0, eta_hat_fn=None, nu_hat_fn=None):
-    """Build the modified curve about the critical point at eta0 != 0.
-
-    The default coefficient drifts are frozen at the critical values; pass
-    callables (of hbar) to deform, e.g. the ones from the scaling maps.
-    """
-    if eta0 == 0.0:
-        raise DomainError("eta0 must be nonzero")
-    nu0 = 125.0 * eta0**3 / 108.0 if eta0 > 0 else 0.0
-    base = sc.build_curve(Params(eta0, 0.0, nu0),
-                          sigma=max(5.0 * eta0 / 3.0, 0.0))
-    return ModifiedCurve(eta0=eta0, base=base,
-                         eta_hat_fn=eta_hat_fn or (lambda h: eta0),
-                         nu_hat_fn=nu_hat_fn or (lambda h: nu0))
-
-
-# ---------------------------------------------------------------------------
-# scaling maps
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScalingMaps:
-    case: str
-    C: float
-    zeta: object        # lam -> conformal coordinate
-    x_of_lambda: object  # (lam, hbar) -> scaling function
-    eta_hat: object     # hbar -> coefficient drift
-    nu_hat: object
-    mcurve: ModifiedCurve
-
 
 def scaling_constant_plus(eta0, n_vec):
+    """C of the plus-stratum drift along the direction n = (n_eta, n_nu)."""
     n_eta, n_nu = n_vec
     denom = 125.0 * eta0**2 * n_eta / 36.0 - n_nu
     if denom <= 0.0:
         raise InadmissibleDirection(
             "direction must lie below the tangent line of the stratum")
     return (10.0 * eta0 / 3.0) ** 0.2 / denom
-
-
-def scaling_maps_plus(eta0, n_vec, x):
-    """Conformal map and scaling function at a plus-stratum point.
-
-    zeta(lam) = [(5/8) psi(lam; 0)]^(2/5) with psi = ghat_1 - ghat_2, and
-
-        x(lam; h) = (1/2)(8/5)^(1/5) [psi(lam;h) - psi(lam;0)] / psi(lam;0)^(1/5)
-
-    with the drift eta_hat = eta0 - C n_eta x h^(4/5), nu_hat = nu0 -
-    C n_nu x h^(4/5).  h^(-4/5) x(lam; h) -> x as lam -> -alpha, which is
-    beta on the critical curve (c = 0).
-    """
-    if eta0 <= 0:
-        raise DomainError("plus-stratum maps need eta0 > 0")
-    C = scaling_constant_plus(eta0, n_vec)
-    nu0 = 125.0 * eta0**3 / 108.0
-    eta_hat = lambda h: eta0 - C * n_vec[0] * x * h ** 0.8
-    nu_hat = lambda h: nu0 - C * n_vec[1] * x * h ** 0.8
-    mcurve = modified_curve(eta0, eta_hat, nu_hat)
-    base = mcurve.base
-
-    def psi0(lam):
-        return sc.g_sheet(base, lam, 1) - sc.g_sheet(base, lam, 2)
-
-    def psi_diff(lam, hbar):
-        # psi(lam; h) - psi(lam; 0), evaluated through the deformation
-        # polynomial only (exact difference, no large cancellation)
-        d = _plus_deformation(eta0, eta_hat(hbar) - eta0, nu_hat(hbar) - nu0)
-        pv = np.polynomial.polynomial.polyval
-        return (pv(sc.uniformize(base, lam, 1), d)
-                - pv(sc.uniformize(base, lam, 2), d))
-
-    def zeta(lam):
-        w = 0.625 * psi0(lam)
-        theta = cmath.phase(complex(lam) + base.alpha)
-        arg = cmath.phase(w)
-        target = 2.5 * theta
-        k = round((target - arg) / (2.0 * math.pi))
-        return abs(w) ** 0.4 * cmath.exp(0.4j * (arg + 2.0 * math.pi * k))
-
-    def x_of_lambda(lam, hbar):
-        return (0.5 * (8.0 / 5.0) ** 0.2 * psi_diff(lam, hbar)
-                / psi0(lam) ** 0.2)
-
-    return ScalingMaps(case="plus", C=C, zeta=zeta, x_of_lambda=x_of_lambda,
-                       eta_hat=eta_hat, nu_hat=nu_hat, mcurve=mcurve)
-
-
-def scaling_maps_minus(s, x):
-    """Scaling data at a minus-stratum point (s = -eta0 > 0).
-
-    zeta(lam) = (5s/6)^(3/5) lam, x(lam; h) = (5s/6)^(-1/5) [nu(h) +
-    (3/7) lam^2], nu(h) = (5s/6)^(1/5) h^(4/5) x.
-    """
-    if s <= 0:
-        raise DomainError("minus-stratum maps need s = -eta0 > 0")
-    c = (5.0 * s / 6.0) ** 0.2
-    nu_hat = lambda h: c * h ** 0.8 * x
-    mcurve = modified_curve(-s, None, nu_hat)
-
-    def zeta(lam):
-        return c**3 * lam
-
-    def x_of_lambda(lam, hbar):
-        return (nu_hat(hbar) + (3.0 / 7.0) * lam * lam) / c
-
-    return ScalingMaps(case="minus", C=c, zeta=zeta,
-                       x_of_lambda=x_of_lambda,
-                       eta_hat=lambda h: -s, nu_hat=nu_hat, mcurve=mcurve)
-
-
-def x_limit_plus(maps, x, hbars=(1e-3, 1e-4), deltas=(2e-2, 1e-2, 5e-3)):
-    """Richardson-extrapolated value of h^(-4/5) x(lam; h) at -alpha.
-
-    The hbar-dependence is exactly linear in x h^(4/5) by construction, so
-    the extrapolation is in the lam-offset delta (the O(lam + alpha) term).
-    """
-    out = []
-    for h in hbars:
-        vals = []
-        beta_hat = -maps.mcurve.base.alpha
-        for d in deltas:
-            lam = beta_hat + d
-            vals.append(maps.x_of_lambda(lam, h) / h ** 0.8)
-        # Richardson on a halving ladder: eliminate O(d) then O(d^2)
-        r1 = [2.0 * vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-        r2 = [(4.0 * r1[i + 1] - r1[i]) / 3.0 for i in range(len(r1) - 1)]
-        out.append(r2[-1])
-    return out
 
 
 # ---------------------------------------------------------------------------

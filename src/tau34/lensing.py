@@ -7,11 +7,6 @@ Four contour families are certified for each curve:
     lens-alpha     Re(g3 - g2) < 0 on the lens boundaries around [alpha, inf)
     lens-beta      Re(g2 - g1) < 0 on the lens boundaries around (-inf, beta]
 
-`gamma_C_separation` measures the u-plane separation of the cut preimages
-(hyperbola) from the zero set of Im Y (the sign-change curve of Re g), which
-is what would make the sign conditions global.  `certify` does not run it:
-only tests do, at given (a, b, c).
-
 Contours bend smoothly from a departure angle inside the local sector at
 the anchor to their asymptotic direction over the first unit of arclength;
 the geometry is recorded on the spec so failures are attributable.
@@ -21,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .param_domain import viete_roots
 from .spectral_curve import g_sheets_all
 
 #: asymptotic directions (bisectors of the decay sectors at infinity)
@@ -140,58 +134,3 @@ def verify_inequalities(curve, contours=None, samples=1000):
                                   worst_point=complex(lam[k])))
     return reports
 
-
-def gamma_C_separation(q, n_samples=2000, margin=1e-6):
-    """Minimum distance between the cut preimages and the Im Y = 0 curve.
-
-    The cut preimage in the u-plane is the hyperbola y^2 = 3x^2 - 3a^2; the
-    sign-change curve is y^2 = (6x^3 - 3bx + 2c)/(6x) on the intervals where
-    the right side is positive.  Both are sampled (upper half plane plus the
-    real-axis vertex points; the mirror images add nothing by symmetry) and
-    the minimum pairwise distance is returned.
-    """
-    a, b, c = q.a, q.b, q.c
-    aa = abs(a)
-    roots = viete_roots(b, c)
-    x_max = 3.0 * max(abs(roots.z_minus), abs(roots.z_plus), aa, 1.0)
-
-    def hyperbola():
-        # geometric spacing off the vertices resolves the near-tangency limit
-        t = np.geomspace(1e-9, x_max - aa if x_max > aa else 1.0,
-                         n_samples // 2)
-        xs = np.concatenate([[aa], aa + t, [-aa], -aa - t])
-        ys = np.sqrt(np.maximum(3.0 * xs**2 - 3.0 * a * a, 0.0))
-        return xs, ys
-
-    def sign_curve():
-        segs = []
-        eps = 1e-12
-        if c > 0:
-            # branches on (-inf, z-), (0, z0), (z+, inf)
-            segs = [(-x_max, roots.z_minus - eps), (eps, roots.z_zero - eps),
-                    (roots.z_plus + eps, x_max)]
-        elif c < 0:
-            # mirror (z- < z0 < 0 < z+): (-inf, z-), (z0, 0), (z+, inf)
-            segs = [(-x_max, roots.z_minus - eps), (roots.z_zero + eps, -eps),
-                    (roots.z_plus + eps, x_max)]
-        else:
-            segs = [(-x_max, roots.z_minus), (roots.z_plus, x_max)]
-        xs_all = [np.array([roots.z_minus, roots.z_zero, roots.z_plus])]
-        ys_all = [np.zeros(3)]      # closure endpoints on the real axis
-        for lo, hi in segs:
-            if hi <= lo:
-                continue
-            xs = np.linspace(lo, hi, max(n_samples // 3, 64))
-            num = 6.0 * xs**3 - 3.0 * b * xs + 2.0 * c
-            with np.errstate(divide="ignore", invalid="ignore"):
-                y2 = num / (6.0 * xs)
-            good = np.isfinite(y2) & (y2 >= 0.0)
-            xs_all.append(xs[good])
-            ys_all.append(np.sqrt(y2[good]))
-        return np.concatenate(xs_all), np.concatenate(ys_all)
-
-    hx, hy = hyperbola()
-    cx, cy = sign_curve()
-    # all pairs at once: about 2,000 x 2,000 distances
-    min_distance = float(np.hypot(hx[:, None] - cx, hy[:, None] - cy).min())
-    return min_distance > margin, min_distance

@@ -12,9 +12,8 @@ nu = nu_critical(eta, mu) handled in `critical`, where the root collides
 with another one.
 
 P is strictly convex above max(5*eta/3, 0), so this module finds the root
-by Newton's method started to the right of it; it also maps the
-(a, b, c) coordinates of the uniformized spectral curve to (eta, mu, nu),
-and produces derivative towers of the root by implicit differentiation.
+by Newton's method started to the right of it, and produces derivative
+towers of the root by implicit differentiation.
 """
 import math
 from dataclasses import dataclass
@@ -62,24 +61,10 @@ class Params:
 
 
 @dataclass(frozen=True)
-class ABCoords:
-    a: float
-    b: float
-    c: float
-
-
-@dataclass(frozen=True)
 class SigmaSolution:
     sigma: float
     dP_dsigma: float
     residual: float
-
-
-@dataclass(frozen=True)
-class VieteRoots:
-    z_minus: float
-    z_zero: float
-    z_plus: float
 
 
 @dataclass(frozen=True)
@@ -179,34 +164,6 @@ def solve_sigma(p):
     except OverflowError:
         raise DomainError("branch equation overflows at this scale") from None
     return SigmaSolution(sigma=sigma, dP_dsigma=dP, residual=abs(value))
-
-
-def viete_roots(b, c):
-    """Three real roots of z^3 - b z / 2 + c / 3 = 0, sorted ascending.
-
-    Trigonometric form, valid on 0 < b, |c| <= b^(3/2)/sqrt(6).
-    """
-    if not b > 0.0:
-        raise DomainError("viete_roots requires b > 0")
-    arg = c * math.sqrt(6.0) / b**1.5
-    if abs(arg) > 1.0 + 1e-12:
-        raise DomainError("discriminant condition |c| <= b^(3/2)/sqrt(6) violated")
-    arg = min(1.0, max(-1.0, arg))
-    r = math.sqrt(2.0 * b / 3.0)
-    phi = math.asin(arg) / 3.0
-    z0 = r * math.sin(phi)
-    zp = r * math.sin(phi + 2.0 * math.pi / 3.0)
-    zm = r * math.sin(phi - 2.0 * math.pi / 3.0)
-    return VieteRoots(z_minus=zm, z_zero=z0, z_plus=zp)
-
-
-def map_abc(q):
-    """(a, b, c) -> ((eta, mu, nu), sigma) with sigma = 2 a^2."""
-    a, b, c = q.a, q.b, q.c
-    eta = 0.6 * (4.0 * a * a - b)
-    mu = c * (b - 2.0 * a * a)
-    nu = 8.0 * a**6 - 3.0 * a**4 * b - (2.0 / 3.0) * c * c
-    return Params(eta, mu, nu), 2.0 * a * a
 
 
 def in_domain_D(p):

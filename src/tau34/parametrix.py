@@ -30,8 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .spectral_curve import (OMEGA, OnBranchPoint, _cut_side_roots,
-                             uniformize_all)
+from .spectral_curve import (BRANCH_POINT_TOL, OMEGA, OnBranchPoint,
+                             _cut_side_roots, uniformize_all)
 
 #: E_ij index pattern of the ray matrices, S_k = I + s_k E[pattern[k]]
 STOKES_PATTERN = {
@@ -189,6 +189,10 @@ def P_k_matrix(k, zeta):
 # global parametrix
 # ---------------------------------------------------------------------------
 
+class QuadratureError(RuntimeError):
+    """The residue quadrature did not settle as the radius shrank."""
+
+
 @dataclass(frozen=True)
 class ResidueData:
     W1: np.ndarray
@@ -231,7 +235,7 @@ def global_M(curve, lam):
     lam = np.asarray(lam, dtype=complex)
     flat = lam.ravel()
     near = np.minimum(np.abs(flat - curve.alpha), np.abs(flat - curve.beta))
-    at_branch = near < 1e-10 * (1.0 + np.abs(flat))
+    at_branch = near < BRANCH_POINT_TOL * (1.0 + np.abs(flat))
     if at_branch.any():
         raise OnBranchPoint(
             f"lambda = {complex(flat[at_branch][0])} is at a branch point")
@@ -297,7 +301,9 @@ def residue_W1(curve, radius_factor=1e-2, n_nodes=256, agreement=1e-8,
     P1 is `P_k_factor(1)` times (2/3 zeta^(3/2))^(-1) = 2/(g2 - g1), which
     makes the integrand single-valued around the point.  Two radii (r, r/2)
     must agree to `agreement`; the radius auto-shrinks a few times
-    otherwise.
+    otherwise, and QuadratureError is raised when they never do.  The
+    first radius is radius_factor (1 + |alpha - beta|), but at most
+    |alpha - beta|/4, so that the circle about beta never encloses alpha.
     W1_hat is diag(1,-1,1) W1(mu -> -mu) diag(1,-1,1).
 
     Each radius is one batched evaluation over all n_nodes midpoint nodes:
@@ -306,7 +312,8 @@ def residue_W1(curve, radius_factor=1e-2, n_nodes=256, agreement=1e-8,
     from . import spectral_curve as sc
     from .param_domain import Params
 
-    r0 = radius_factor * (1.0 + abs(curve.alpha - curve.beta))
+    gap = abs(curve.alpha - curve.beta)
+    r0 = min(radius_factor * (1.0 + gap), 0.25 * gap)
     core = P_k_factor(1)
     nodes = np.exp(1j * (2.0 * math.pi * (np.arange(n_nodes) + 0.5)
                          / n_nodes))
@@ -329,7 +336,10 @@ def residue_W1(curve, radius_factor=1e-2, n_nodes=256, agreement=1e-8,
             if np.max(np.abs(w_a - w_b)) < agreement:
                 return w_b
             r /= 2.0
-        raise RuntimeError("residue quadrature did not stabilize")
+        diff = float(np.max(np.abs(w_a - w_b)))
+        raise QuadratureError(
+            f"residue quadrature did not stabilize: radii {2.0 * r!r} and "
+            f"{r!r} differ by {diff!r} > {agreement!r}")
 
     W1 = converged(curve)
     p = curve.params

@@ -35,16 +35,13 @@ from .param_domain import Params, DomainError, solve_sigma
 
 OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 
-#: branch-point exclusion radius for uniformize()
+#: branch-point exclusion radius of `parametrix.global_M`, relative to
+#: 1 + |lambda|
 BRANCH_POINT_TOL = 1e-10
 
 
 class OnBranchPoint(ValueError):
     """lambda within BRANCH_POINT_TOL of a branch point."""
-
-
-class BranchCutError(ValueError):
-    """Evaluation on a cut without a side specification."""
 
 
 @dataclass(frozen=True)
@@ -142,40 +139,8 @@ def uniformize_all(curve, lam):
     return _kernels.sheet_roots(curve.a**2, curve.c, lam)
 
 
-def uniformize(curve, lam, sheet, side=None):
-    """The root of lam(u) = lam on the given sheet (1, 2 or 3).
-
-    For real lam on a cut of the requested sheet, `side` ('+' or '-')
-    selects the boundary value; '+' is the upper half-plane limit.
-    """
-    if sheet not in (1, 2, 3):
-        raise ValueError("sheet must be 1, 2 or 3")
-    lam = complex(lam)
-    scale = 1.0 + abs(lam)
-    if min(abs(lam - curve.alpha), abs(lam - curve.beta)) < BRANCH_POINT_TOL * scale:
-        raise OnBranchPoint(f"lambda = {lam} is at a branch point")
-    if lam.imag == 0.0:
-        on_alpha_cut = lam.real > curve.alpha and sheet in (2, 3)
-        on_beta_cut = lam.real < curve.beta and sheet in (1, 2)
-        if on_alpha_cut or on_beta_cut:
-            if side not in ("+", "-"):
-                raise BranchCutError(
-                    f"lambda = {lam.real:g} lies on a cut of sheet {sheet}; "
-                    "pass side='+' or side='-'")
-            u = _cut_side_roots(curve, np.array([lam.real]))[sheet - 1, 0]
-            # u_j(x - i0) = conj(u_j(x + i0)): sheets commute with conjugation
-            return complex(u) if side == "+" else complex(u).conjugate()
-    u = complex(uniformize_all(curve, np.array([lam]))[sheet - 1, 0])
-    return u
-
-
 def g_of_u(curve, u):
     return np.polynomial.polynomial.polyval(u, curve.g_coeffs)
-
-
-def g_sheet(curve, lam, sheet, side=None):
-    """g_j(lambda) = g(u_j(lambda))."""
-    return complex(g_of_u(curve, uniformize(curve, lam, sheet, side=side)))
 
 
 def g_sheets_all(curve, lam, sheets):
@@ -184,43 +149,6 @@ def g_sheets_all(curve, lam, sheets):
     u = uniformize_all(curve, lam)
     return g_of_u(curve, np.stack([np.choose(np.subtract(j, 1), u)
                                    for j in sheets]))
-
-
-def theta_phase(lam, j, p, side=None):
-    """theta_j(lam) = (3/7) w^(j-1) lam^(7/3) + w^(1-j) [eta lam^(5/3)
-    + mu lam^(2/3)] + w^(j-1) nu lam^(1/3), principal lam^(1/3).
-
-    On the negative real axis the principal branch is discontinuous, so a
-    side ('+'/'-') is required there.
-    """
-    lam = complex(lam)
-    if lam == 0:
-        raise ValueError("theta_phase requires lam != 0")
-    if lam.imag == 0.0 and lam.real < 0.0:
-        if side == "+":
-            lam = complex(lam.real, +0.0)
-        elif side == "-":
-            return theta_phase(lam.conjugate(), j, p, side="+").conjugate()
-        else:
-            raise BranchCutError("negative real lambda needs side='+'/'-'")
-    t = lam ** (1.0 / 3.0)
-    w = OMEGA ** (j - 1)
-    wi = OMEGA ** (1 - j)
-    return ((3.0 / 7.0) * w * t**7 + wi * p.eta * t**5 + wi * p.mu * t**2
-            + w * p.nu * t)
-
-
-def theta_hat(lam, p):
-    """Diagonal of the half-plane-permuted phase matrix, as a 3-tuple.
-
-    Upper half-plane (and the real axis limit from above): (th1, th3, th2);
-    lower half-plane: (th1, th2, th3).
-    """
-    lam = complex(lam)
-    upper = lam.imag >= 0.0
-    th = [theta_phase(lam, j, p, side="+" if lam.imag == 0 else None)
-          for j in (1, 2, 3)]
-    return (th[0], th[2], th[1]) if upper else (th[0], th[1], th[2])
 
 
 def branch_coeffs(curve, case=None):

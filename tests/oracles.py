@@ -14,17 +14,21 @@ None of these is run by a `tau34` command:
   * `h1_first_correction`, the closed-form oracle of the residue pairing;
   * `fd_dlogtau_consistency`, the tau-differential identities by central
     differences with six neighbour solves, which the complex step of
-    `tau_expansion.dlogtau_consistency` replaced.
+    `tau_expansion.dlogtau_consistency` replaced;
+  * `viete_roots` and `map_abc`, the (a, b, c) coordinates of the
+    uniformized curve: they build boundary-mu curves and admissible
+    samples whose sigma = 2 a^2 is known without solving the branch
+    equation.
 """
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from tau34 import param_domain as pd
 from tau34 import spectral_curve as sc
 from tau34 import tau_expansion as te
-from tau34.spectral_curve import uniformize
 
 
 def mp_context(dps):
@@ -62,7 +66,8 @@ def mp_sheet_value(curve, lam, sheet, dps=50):
     """(u_sheet(lam), g(u_sheet(lam)), mp) with mpmath, Newton-refined root."""
     mp = mp_context(dps)
     lam1, lam0, g = mp_g_coeffs(curve, mp)
-    u = mp.mpc(uniformize(curve, lam, sheet))
+    u = mp.mpc(complex(sc.uniformize_all(curve, np.array([lam]))[sheet - 1,
+                                                                 0]))
     p0 = lam0 - mp.mpc(lam)
     for _ in range(80):
         f = u * (u * u + lam1) + p0
@@ -83,7 +88,9 @@ def g_sheet_mp(curve, lam, sheet, dps=50):
 
 
 def theta_phase_mp(lam, j, p, dps=50):
-    """`spectral_curve.theta_phase` in mpmath (principal lam^(1/3))."""
+    """theta_j(lam) = (3/7) w^(j-1) lam^(7/3) + w^(1-j) [eta lam^(5/3)
+    + mu lam^(2/3)] + w^(j-1) nu lam^(1/3) in mpmath, w = exp(2 i pi/3),
+    principal lam^(1/3)."""
     mp = mp_context(dps)
     lam = mp.mpc(lam)
     t = lam ** (mp.mpf(1) / 3)
@@ -231,3 +238,46 @@ def fd_dlogtau_consistency(p, step=1e-5):
               fd(h1, "eta") - fd(h5, "nu"),
               fd(h2, "eta") - fd(h5, "mu"))
     return grad, closed
+
+
+@dataclass(frozen=True)
+class ABCoords:
+    a: float
+    b: float
+    c: float
+
+
+@dataclass(frozen=True)
+class VieteRoots:
+    z_minus: float
+    z_zero: float
+    z_plus: float
+
+
+def viete_roots(b, c):
+    """Three real roots of z^3 - b z / 2 + c / 3 = 0, sorted ascending.
+
+    Trigonometric form, valid on 0 < b, |c| <= b^(3/2)/sqrt(6).
+    """
+    if not b > 0.0:
+        raise pd.DomainError("viete_roots requires b > 0")
+    arg = c * math.sqrt(6.0) / b**1.5
+    if abs(arg) > 1.0 + 1e-12:
+        raise pd.DomainError(
+            "discriminant condition |c| <= b^(3/2)/sqrt(6) violated")
+    arg = min(1.0, max(-1.0, arg))
+    r = math.sqrt(2.0 * b / 3.0)
+    phi = math.asin(arg) / 3.0
+    z0 = r * math.sin(phi)
+    zp = r * math.sin(phi + 2.0 * math.pi / 3.0)
+    zm = r * math.sin(phi - 2.0 * math.pi / 3.0)
+    return VieteRoots(z_minus=zm, z_zero=z0, z_plus=zp)
+
+
+def map_abc(q):
+    """(a, b, c) -> ((eta, mu, nu), sigma) with sigma = 2 a^2."""
+    a, b, c = q.a, q.b, q.c
+    eta = 0.6 * (4.0 * a * a - b)
+    mu = c * (b - 2.0 * a * a)
+    nu = 8.0 * a**6 - 3.0 * a**4 * b - (2.0 / 3.0) * c * c
+    return pd.Params(eta, mu, nu), 2.0 * a * a

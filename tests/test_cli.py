@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import math
 import os
@@ -230,6 +231,13 @@ class TestCertify:
         assert ",domain:overflow,1,0,false" in out
         assert "Traceback" not in err
 
+    def test_overflowing_tau_data_fail_a_row(self, capsys):
+        # sigma = 5.8e66 is in D, but sigma**5 leaves double range
+        code, out, err = run(capsys, "certify", "--eta", "1", "--nu=-1e200")
+        assert code == 1
+        assert out.endswith(",tau:overflow,1,0,false\n")
+        assert "Traceback" not in err
+
     @given(st.floats(-3.0, 3.0), st.floats(-1.0, 1.0), st.floats(-5.0, 5.0))
     @settings(max_examples=40, deadline=None)
     def test_points_in_domain_return_records(self, eta, mu, nu):
@@ -392,6 +400,15 @@ class TestOther:
         assert code == 2 and out == ""
         assert err.startswith("tau34: error: no real root above")
 
+    def test_tau_overflow_exit_two(self, capsys):
+        code, out, err = run(capsys, "tau", "--eta", "1", "--nu=-1e200")
+        assert code == 2 and out == ""
+        assert err.startswith("tau34: error: sigma = 5.848")
+        assert "overflow" in err
+        # the root itself is a double
+        code, out, _ = run(capsys, "sigma", "--eta", "1", "--nu=-1e200")
+        assert code == 0 and ",5.8480354764257324e+66," in out
+
     def test_tau_columns(self, capsys):
         code, out, _ = run(capsys, "tau", "--eta", "1")
         assert code == 0
@@ -403,6 +420,21 @@ class TestOther:
         assert code == 0
         assert "stokes,planes,0|1" in out
         assert "airy,s_1,5/72" in out
+
+    def test_parametrix_near_minus_stratum(self, capsys):
+        # |alpha - beta| = 1.1e-5: the residue circle about beta once
+        # enclosed alpha, and the quadrature never settled
+        code, out, err = run(capsys, "parametrix", "--eta=-5", "--nu=-1e-6")
+        assert code == 0 and "residue,pairing," in out
+
+    def test_parametrix_unsettled_quadrature_exit_two(self, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr(cli.px, "residue_W1", functools.partial(
+            cli.px.residue_W1, agreement=0.0))
+        code, out, err = run(capsys, "parametrix")
+        assert code == 2 and out == ""
+        assert err.startswith("tau34: error: residue quadrature did not "
+                              "stabilize")
 
     def test_critical_records(self, capsys):
         code, out, _ = run(capsys, "critical", "--eta", "1")

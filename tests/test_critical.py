@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -8,20 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tau34.critical as cr
-from tau34 import spectral_curve as sc
 from tau34.critical import (GAUSS_ANGLE_ARGMAX, InadmissibleDirection,
-                            gauss_angle, gauss_angle_max, modified_curve,
-                            nu_critical, pi_hamiltonian, pi_integrate,
-                            pi_seed, scaling_constant_plus,
-                            scaling_maps_minus, scaling_maps_plus,
-                            surface_discriminant, surface_param,
-                            tauhat0_exponent, tritronquee_constant,
-                            x_limit_plus)
+                            gauss_angle, gauss_angle_max, nu_critical,
+                            pi_hamiltonian, pi_integrate, pi_seed,
+                            scaling_constant_plus, surface_discriminant,
+                            surface_param, tauhat0_exponent,
+                            tritronquee_constant)
 from tau34.param_domain import Params
 from tau34.tau_expansion import leading_hamiltonians, tau_leading
-
-from oracles import (fitted_g_asymptotics, mp_g_coeffs, mp_sheet_value,
-                     theta_phase_mp)
 
 INV_SQRT6 = 1.0 / math.sqrt(6.0)
 
@@ -32,51 +25,6 @@ def _polyroots_largest_real_root(mp, b, d):
     roots = mp.polyroots([mp.mpf("0.5"), b, mp.mpf(0), d], maxsteps=200,
                          extraprec=80)
     return sorted(r.real for r in roots if abs(r.imag) < 1e-20)[-1]
-
-
-def _g_hat_coeffs_mp(mcurve, hbar, mp):
-    """Test-only oracle: the plus-stratum ghat rebuilt in mpmath, from the
-    phase-matching conditions with exactly promoted inputs."""
-    eh = mp.mpf(mcurve.eta_hat_fn(hbar))
-    nh = mp.mpf(mcurve.nu_hat_fn(hbar))
-    eta0 = mp.mpf(mcurve.eta0)
-    _, _, g = mp_g_coeffs(mcurve.base, mp)
-    q = mp.mpf(125) * eta0**2 / 36
-    r = mp.mpf(36) / (125 * eta0**2)
-    z = mp.mpf(0)
-    d_a = [z, mp.mpf(125) * eta0**2 / 18, z, -mp.mpf(25) * eta0 / 6, z,
-           mp.mpf(1)]
-    d_c = [z, q - r, z, -mp.mpf(25) * eta0 / 6, z, mp.mpf(1)]
-    dn = nh - mp.mpf(125) * eta0**3 / 108
-    de = eh - eta0
-    s_a = (dn + r * de) / (q + r)
-    s_c = (-dn + q * de) / (q + r)
-    return [gk + (s_a * d_a[k] + s_c * d_c[k] if k < 6 else 0)
-            for k, gk in enumerate(g)]
-
-
-def sampled_matching_report(mcurve, hbar, radii, dps=50):
-    """Test-only oracle: log-log fit of |ghat_j - theta_perm(j)| sampled in
-    mpmath, with the radii, rays, sheet permutation and fit of
-    `fitted_g_asymptotics`.  The sheet roots are Newton-refined in mpmath."""
-    import mpmath
-    mp = mpmath.mp.clone()
-    mp.dps = dps
-    phase = Params(mcurve.eta_hat_fn(hbar), 0.0, mcurve.nu_hat_fn(hbar))
-    coeffs = _g_hat_coeffs_mp(mcurve, hbar, mp)
-    report = {}
-    for half, arg, perm in (("upper", 0.9, (1, 3, 2)),
-                            ("lower", -0.9, (1, 2, 3))):
-        for sheet in (1, 2, 3):
-            diffs = []
-            for r in radii:
-                lam = r * cmath.exp(1j * arg)
-                u, _, _ = mp_sheet_value(mcurve.base, lam, sheet, dps=dps)
-                th = theta_phase_mp(lam, perm[sheet - 1], phase, dps=dps)
-                diffs.append(float(abs(mp.polyval(coeffs[::-1], u) - th)))
-            slope = np.polyfit(np.log(radii), np.log(diffs), 1)[0]
-            report[(sheet, half)] = (float(slope), max(diffs))
-    return report
 
 
 def _reference_pi_integrate(x_start, x_end, xs, tol=1e-11):
@@ -224,60 +172,6 @@ class TestNormalizer:
         assert float(tauhat0_exponent(1.0, 1.0, 0.0)) == 0.0
 
 
-class TestModifiedCurves:
-    MATCH_RADII = np.logspace(6, 9, 16)
-
-    def test_plus_frozen_equals_critical(self):
-        mc = modified_curve(1.0)
-        frozen = mc.at(0.0)
-        assert frozen.params == mc.base.params
-        assert np.array_equal(frozen.g_coeffs, mc.base.g_coeffs)
-
-    def test_minus_exact_cube_roots(self):
-        # on lam = u^3 the root series is U(tau) = tau and ghat is Theta
-        # itself: every Laurent coefficient is exactly zero
-        mc = modified_curve(-1.0, None, lambda h: 0.3 * h ** 0.8)
-        assert mc.base.a == 0.0 and mc.base.c == 0.0
-        for h in (1e-2, 1e-4):
-            ex = sc.laurent_at_infinity(mc.at(h), 8)
-            assert not np.any(ex.head) and not np.any(ex.tail)
-        # the kernel's roots are the omega-rotated principal cube roots
-        lam = 2.0 * np.exp(1j * np.array([0.9, 2.5, -0.9, -2.5]))
-        t = lam ** (1.0 / 3.0)
-        up = lam.imag > 0
-        w = sc.OMEGA
-        want = [t, t * np.where(up, w**2, w), t * np.where(up, w, w**2)]
-        assert np.allclose(sc.uniformize_all(mc.base, lam), want,
-                           rtol=4 * sc.EPS, atol=0.0)
-
-    @pytest.mark.parametrize("n_vec", [(0.0, -1.0), (1.0, 0.0), (0.2, -0.5)])
-    def test_plus_matching_slopes(self, n_vec):
-        sm = scaling_maps_plus(1.0, n_vec, x=1.0)
-        for h in (1e-2, 1e-4):
-            rep = fitted_g_asymptotics(sm.mcurve.at(h),
-                                       radii=self.MATCH_RADII)
-            for key, (slope, _) in rep.items():
-                assert abs(slope + 1.0 / 3.0) < 0.02, (key, h, slope)
-            # the exact claim holds at the default radii [1e3, 1e6] as well
-            assert sc.check_g_asymptotics(sm.mcurve.at(h)) <= 1e-10, h
-
-    @pytest.mark.parametrize("h", [1e-2, 1e-4])
-    def test_plus_matching_against_sampled_mp_fit(self, h):
-        mc = scaling_maps_plus(1.0, (0.0, -1.0), x=1.0).mcurve
-        got = fitted_g_asymptotics(mc.at(h), radii=self.MATCH_RADII)
-        want = sampled_matching_report(mc, h, self.MATCH_RADII)
-        assert got.keys() == want.keys()
-        for key, (slope, resid) in want.items():
-            assert abs(got[key][0] - slope) <= 1e-9, key
-            assert abs(got[key][1] / resid - 1.0) <= 1e-10, key
-
-    def test_branch_point_location(self):
-        base = modified_curve(1.0).base
-        assert base.a == pytest.approx(math.sqrt(5.0 / 6.0), rel=1e-14)
-        assert base.alpha == pytest.approx(
-            (5.0 / 3.0) * math.sqrt(5.0 / 6.0), rel=1e-14)
-
-
 class TestScalingMaps:
     def test_constant_value(self):
         assert scaling_constant_plus(1.0, (0.0, -1.0)) == pytest.approx(
@@ -286,63 +180,6 @@ class TestScalingMaps:
     def test_inadmissible_direction(self):
         with pytest.raises(InadmissibleDirection):
             scaling_constant_plus(1.0, (0.0, 1.0))
-
-    def test_x_limit(self):
-        for x in (1.0, -2.0, 0.4):
-            sm = scaling_maps_plus(1.0, (0.0, -1.0), x=x)
-            for val in x_limit_plus(sm, x, hbars=(1e-3, 1e-4)):
-                assert abs(val - x) < 1e-6
-
-    def test_zeta_conformal(self):
-        sm = scaling_maps_plus(1.0, (0.0, -1.0), x=1.0)
-        beta_hat = -sm.mcurve.base.alpha
-        d = 1e-4
-        der = (sm.zeta(beta_hat + 2.0 * d) - sm.zeta(beta_hat + d)) / d
-        assert abs(der) > 1e-3
-
-    def test_minus_literal(self):
-        sm = scaling_maps_minus(1.0, x=0.0)
-        for lam in (0.3, -0.7, 1.1):
-            want = (5.0 / 6.0) ** (-0.2) * (3.0 / 7.0) * lam**2
-            assert sm.x_of_lambda(lam, 1e-3) == pytest.approx(want, rel=1e-13)
-
-    def test_minus_uniform_limit_slope(self):
-        # max |h^(-4/5) x(lam) - x| over |lam| < h^(2/5 + delta) scales like
-        # h^(2 delta) with delta = 0.1
-        x = 0.7
-        sm = scaling_maps_minus(1.3, x=x)
-        hs = np.array([1e-4, 1e-5, 1e-6])
-        devs = []
-        for h in hs:
-            lams = np.linspace(-(h ** 0.5), h ** 0.5, 41)
-            vals = [abs(sm.x_of_lambda(l, h) / h ** 0.8 - x) for l in lams]
-            devs.append(max(vals))
-        slope = np.polyfit(np.log(hs), np.log(devs), 1)[0]
-        assert abs(slope - 0.2) < 0.02
-
-    def test_minus_phase_reconstruction(self):
-        # ghat on each sheet equals the displayed zeta/x combination, with
-        # the upper-half-plane phase permutation (1, 3, 2)
-        OM = cmath.exp(2j * math.pi / 3.0)
-        sm = scaling_maps_minus(1.0, x=0.7)
-        hb = 1e-2
-        perm = {1: 1, 2: 3, 3: 2}
-        for lam in (0.3 + 0.2j, -0.4 + 0.5j, 1.2 + 0.01j):
-            for sheet in (1, 2, 3):
-                j = perm[sheet]
-                gh = sc.g_sheet(sm.mcurve.at(hb), lam, sheet)
-                ze = sm.zeta(lam)
-                xv = sm.x_of_lambda(lam, hb)
-                want = (-(6.0 / 5.0) * OM ** (1 - j) * ze ** (5.0 / 3.0)
-                        + OM ** (j - 1) * xv * ze ** (1.0 / 3.0))
-                assert abs(gh - want) < 1e-10 * (1.0 + abs(want))
-
-    def test_nu_scaling_exponent(self):
-        sm = scaling_maps_minus(1.0, x=0.7)
-        hs = np.array([1e-2, 1e-3, 1e-4])
-        nus = np.abs([sm.nu_hat(h) for h in hs])
-        slope = np.polyfit(np.log(hs), np.log(nus), 1)[0]
-        assert abs(slope - 0.8) < 0.01
 
 
 class TestPainleve:

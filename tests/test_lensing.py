@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from tau34.lensing import (_ORIENT, ContourSpec, SignReport,
-                           gamma_C_separation, standard_contours,
-                           verify_inequalities)
-from tau34.param_domain import ABCoords, Params, map_abc, viete_roots
+                           standard_contours, verify_inequalities)
+from tau34.param_domain import Params
 from tau34.spectral_curve import build_curve, g_of_u, uniformize_all
+
+from oracles import ABCoords, map_abc
 
 
 def _per_contour_reports(curve, contours):
@@ -24,36 +25,6 @@ def _per_contour_reports(curve, contours):
                                   all_pass=bool(vals[k] > 0.0),
                                   worst_point=complex(lam[k])))
     return reports
-
-
-class TestSeparation:
-    def test_reference_point(self):
-        ok, dist = gamma_C_separation(ABCoords(math.sqrt(1.25), 10.0 / 3.0,
-                                               0.0))
-        assert ok and dist > 0.1
-
-    def test_figure_point(self):
-        ok, dist = gamma_C_separation(ABCoords(0.8, 3.2, 1.2))
-        assert ok and dist > 0.1
-
-    def test_touching_limit(self):
-        r = viete_roots(3.2, 1.2)
-        ok, dist = gamma_C_separation(ABCoords(r.z_plus, 3.2, 1.2))
-        assert not ok
-        assert dist < 1e-9
-
-    def test_monotone_approach(self):
-        r = viete_roots(3.2, 1.2)
-        dists = []
-        for f in (0.5, 0.9, 0.99, 0.999):
-            a = r.z_zero + f * (r.z_plus - r.z_zero)
-            dists.append(gamma_C_separation(ABCoords(a, 3.2, 1.2))[1])
-        assert all(np.diff(dists) < 0)
-        assert dists[-1] < 1e-3
-
-    def test_negative_c_mirror(self):
-        ok, dist = gamma_C_separation(ABCoords(-0.8, 3.2, -1.2))
-        assert ok and dist > 0.1
 
 
 class TestInequalities:

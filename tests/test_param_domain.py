@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tau34.param_domain import (BOUNDARY_MARGIN, NEWTON_TOL, ABCoords,
-                                BoundaryReached, DomainError, Params,
-                                SigmaSolution, _is_multiple, eval_P,
-                                in_domain_D, map_abc, sigma_jets,
-                                solve_sigma, viete_roots)
+from tau34.param_domain import (BOUNDARY_MARGIN, NEWTON_TOL, BoundaryReached,
+                                DomainError, Params, SigmaSolution,
+                                _is_multiple, eval_P, in_domain_D, sigma_jets,
+                                solve_sigma)
+
+from oracles import ABCoords, map_abc, viete_roots
 
 
 class TestEvalP:

@@ -30,22 +30,6 @@ TEST_ONLY = {
         "series.Jet.__truediv__", "series.Jet.__rtruediv__",
         "series.Jet.__repr__",
     ),
-    "the Painleve I degeneration maps behind the RG-flow claim: whether "
-    "the matching becomes a row is open (ROADMAP item 4)": (
-        "critical._plus_deformation", "critical.ModifiedCurve.at",
-        "critical.modified_curve", "critical.scaling_maps_plus",
-        "critical.scaling_maps_minus", "critical.x_limit_plus",
-    ),
-    "one-point evaluation on a sheet or cut side, used by the degeneration "
-    "maps and by the tests of the sheet and phase conventions": (
-        "spectral_curve.uniformize", "spectral_curve.g_sheet",
-        "spectral_curve.theta_phase", "spectral_curve.theta_hat",
-    ),
-    "the u-plane separation of the cut preimages, which may become a "
-    "certify row (ROADMAP item 2)": (
-        "lensing.gamma_C_separation", "param_domain.viete_roots",
-        "param_domain.map_abc",
-    ),
     "the critical surface nu(eta, mu): benchmarks/workloads.py and the "
     "tests build interior grids from it": (
         "critical.nu_critical",
@@ -60,7 +44,12 @@ TEST_ONLY = {
 EXTREME = (["certify", "--eta", "1e200"], ["sigma", "--eta", "1e308"],
            ["tau", "--nu", "5"], ["critical", "--eta", "1e30"],
            ["critical", "--eta", "1e120"], ["pi", "--x-end", "3"],
-           ["critical", "--eta", "1e-150"], ["critical", "--eta", "1e-50"])
+           ["critical", "--eta", "1e-150"], ["critical", "--eta", "1e-50"],
+           ["parametrix", "--eta=-5", "--nu=-1e-6"],
+           ["certify", "--eta", "1", "--nu=-1e200"],
+           ["tau", "--eta", "1", "--nu=-1e200"],
+           ["parametrix", "--eta=-676586.4282446072",
+            "--mu=138843.51463656646", "--nu=-0.010108945468011433"])
 
 
 def defined_functions():

@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 
 from tau34 import spectral_curve as sc
 from tau34.cli import certify_point
-from tau34.param_domain import ABCoords, Params, map_abc
-from tau34.spectral_curve import (AsymptoticsError, BranchCutError,
-                                  OnBranchPoint, branch_coeffs, build_curve,
-                                  check_g_asymptotics, g_sheet, g_sheets_all,
-                                  laurent_at_infinity, theta_phase, theta_hat,
-                                  uniformize, uniformize_all)
+from tau34.param_domain import Params
+from tau34.parametrix import global_M
+from tau34.spectral_curve import (AsymptoticsError, OnBranchPoint,
+                                  _cut_side_roots, branch_coeffs, build_curve,
+                                  check_g_asymptotics, g_of_u, g_sheets_all,
+                                  laurent_at_infinity, uniformize_all)
 from tau34.tau_expansion import leading_hamiltonians
 
-from oracles import (fit_branch_exponent, fitted_g_asymptotics, g_sheet_mp,
-                     theta_phase_mp)
+from oracles import (ABCoords, fit_branch_exponent, fitted_g_asymptotics,
+                     g_sheet_mp, map_abc, theta_phase_mp)
 
 pv = np.polynomial.polynomial.polyval
 
@@ -60,6 +60,11 @@ class TestBuild:
         assert np.allclose(cv.lam_coeffs, [0.0, 0.0, 0.0, 1.0])
         assert cv.alpha == cv.beta == 0.0
 
+    def test_gamma_plus_branch_points(self, curve_gp):
+        assert curve_gp.a == pytest.approx(math.sqrt(5.0 / 6.0), rel=1e-14)
+        assert curve_gp.alpha == pytest.approx(
+            (5.0 / 3.0) * math.sqrt(5.0 / 6.0), rel=1e-14)
+
     def test_antiderivative_identity_exact(self):
         # g' = Y lam' coefficientwise in exact rational arithmetic
         eta, mu, nu = Fraction(1), Fraction(1, 10), Fraction(0)
@@ -86,24 +91,39 @@ class TestBuild:
         assert np.max(np.abs(dg - prod)) < 1e-12
 
 
+def sheet_root(curve, lam, sheet):
+    """u_sheet(lam) off the cuts, as one complex number."""
+    return complex(uniformize_all(curve, np.array([lam]))[sheet - 1, 0])
+
+
 class TestUniformize:
     def test_exact_cube_root(self):
         cv = build_curve(Params(-0.6, 0.0, 0.0), sigma=0.0)
-        assert uniformize(cv, 8.0, 1) == pytest.approx(2.0, abs=1e-13)
+        assert sheet_root(cv, 8.0, 1) == pytest.approx(2.0, abs=1e-13)
+
+    def test_cube_curve_roots_and_laurent_exact(self):
+        # on lam = u^3 (sigma = mu = nu = 0) the sheet root is tau itself
+        # and g is Theta: every Laurent coefficient is exactly zero
+        cv = build_curve(Params(-1.0, 0.0, 0.0), sigma=0.0)
+        assert cv.a == 0.0 and cv.c == 0.0
+        ex = laurent_at_infinity(cv, 8)
+        assert not np.any(ex.head) and not np.any(ex.tail)
+        # the kernel's roots are the omega-rotated principal cube roots
+        lam = 2.0 * np.exp(1j * np.array([0.9, 2.5, -0.9, -2.5]))
+        t = lam ** (1.0 / 3.0)
+        up = lam.imag > 0
+        w = sc.OMEGA
+        want = [t, t * np.where(up, w**2, w), t * np.where(up, w, w**2)]
+        assert np.allclose(uniformize_all(cv, lam), want,
+                           rtol=4 * sc.EPS, atol=0.0)
 
     def test_largest_real_root_at_zero(self, curve_ref):
-        u = uniformize(curve_ref, 0.0, 1)
+        u = sheet_root(curve_ref, 0.0, 1)
         assert u == pytest.approx(math.sqrt(15.0) / 2.0, abs=1e-13)
 
     def test_on_branch_point(self, curve_ref):
         with pytest.raises(OnBranchPoint):
-            uniformize(curve_ref, curve_ref.alpha, 2)
-
-    def test_cut_requires_side(self, curve_ref):
-        with pytest.raises(BranchCutError):
-            uniformize(curve_ref, curve_ref.alpha + 1.0, 2)
-        # sheet 1 is not cut there
-        uniformize(curve_ref, curve_ref.alpha + 1.0, 1)
+            global_M(curve_ref, curve_ref.alpha)
 
     @given(st.floats(-15, 15), st.floats(-15, 15))
     @settings(max_examples=200, deadline=None)
@@ -137,70 +157,41 @@ class TestUniformize:
             assert abs(u_m[2] + u_p[0]) < 1e-10 * (1 + abs(lam))
 
     def test_sheet_gluing_conjugacy(self, curve_mu):
-        # upper sheet-2 and lower sheet-3 limits coincide on the cut, and
-        # the two limits of each glued sheet are complex conjugate
+        # upper sheet-2 and lower sheet-3 limits coincide on the cut: the
+        # lower limits are the conjugates of the upper ones, as in
+        # `parametrix.global_M_sides`
         x = curve_mu.alpha + 2.3
-        u2p = uniformize(curve_mu, x, 2, side="+")
-        u2m = uniformize(curve_mu, x, 2, side="-")
-        u3p = uniformize(curve_mu, x, 3, side="+")
-        u3m = uniformize(curve_mu, x, 3, side="-")
+        _, u2p, u3p = _cut_side_roots(curve_mu, np.array([x]))[:, 0]
+        u2m, u3m = u2p.conjugate(), u3p.conjugate()
         assert u2p == u3m
         assert u3p == u2m
-        assert abs(u2p - u3p.conjugate()) < 1e-14
         assert abs(u2p.imag) > 1e-3
+        # both limits are roots of lam(u) = x
+        for u in (u2p, u3p):
+            assert abs(pv(u, curve_mu.lam_coeffs) - x) < 1e-13 * (1 + x)
 
 
 class TestGSheet:
     def test_trivial_zero(self):
         cv = build_curve(Params(0.0, 0.0, 0.0), sigma=0.0)
-        for sheet in (1, 2, 3):
-            assert abs(g_sheet(cv, 1e-3 + 1e-3j, sheet)) < 1e-6
+        g = g_sheets_all(cv, np.array([1e-3 + 1e-3j]), (1, 2, 3))
+        assert np.max(np.abs(g)) < 1e-6
 
     def test_conjugation(self, curve_mu):
-        lam = 1.7 + 0.9j
-        assert g_sheet(curve_mu, lam.conjugate(), 1) == pytest.approx(
-            g_sheet(curve_mu, lam, 1).conjugate(), rel=1e-13)
+        g_up, g_down = g_sheets_all(curve_mu, np.array([1.7 + 0.9j,
+                                                        1.7 - 0.9j]), (1,))[0]
+        assert g_down == pytest.approx(g_up.conjugate(), rel=1e-13)
 
     def test_eta_term_exact_on_cube_curve(self):
         # sigma = mu = 0 keeps the uniformization an exact cube root, so the
-        # phase match is exact including the eta-term
+        # phase match is exact including the eta-term; sheet 1 carries the
+        # principal phase theta_1 off the negative axis
         cv = build_curve(Params(0.7, 0.0, 0.0), sigma=0.0)
-        p = cv.params
-        for lam in (3.0 + 1.0j, -2.0 + 0.4j, 9.0 - 2.0j):
-            got = g_sheet(cv, lam, 1)
-            want = theta_phase(lam, 1, p)
-            assert abs(got - want) < 1e-12 * (1 + abs(want))
-
-
-class TestTheta:
-    def test_unit_values(self):
-        p0 = Params(0.0, 0.0, 0.0)
-        assert theta_phase(1.0, 1, p0) == pytest.approx(3.0 / 7.0, abs=1e-15)
-        w = cmath.exp(2j * math.pi / 3)
-        assert theta_phase(1.0, 2, p0) == pytest.approx(3.0 / 7.0 * w,
-                                                        abs=1e-15)
-
-    def test_large_argument(self):
-        got = theta_phase(128.0, 1, Params(1.0, 0.0, 0.0))
-        want = 3.0 / 7.0 * 128.0 ** (7.0 / 3.0) + 128.0 ** (5.0 / 3.0)
-        assert got == pytest.approx(want, rel=1e-14)
-
-    def test_negative_axis_needs_side(self):
-        with pytest.raises(BranchCutError):
-            theta_phase(-2.0, 1, Params(1.0, 0.0, 0.0))
-        up = theta_phase(-2.0, 1, Params(1.0, 0.0, 0.0), side="+")
-        dn = theta_phase(-2.0, 1, Params(1.0, 0.0, 0.0), side="-")
-        assert up == pytest.approx(dn.conjugate(), rel=1e-14)
-
-    def test_hat_permutation(self):
-        p = Params(1.0, 0.2, 0.1)
-        lam = 2.0 + 3.0j
-        hat = theta_hat(lam, p)
-        ths = [theta_phase(lam, j, p) for j in (1, 2, 3)]
-        assert hat == (ths[0], ths[2], ths[1])
-        hat_lower = theta_hat(lam.conjugate(), p)
-        assert hat_lower == tuple(theta_phase(lam.conjugate(), j, p)
-                                  for j in (1, 2, 3))
+        lam = np.array([3.0 + 1.0j, -2.0 + 0.4j, 9.0 - 2.0j])
+        got = g_sheets_all(cv, lam, (1,))[0]
+        for z, g in zip(lam, got):
+            want = complex(theta_phase_mp(z, 1, cv.params))
+            assert abs(g - want) < 1e-12 * (1 + abs(want))
 
 
 def sampled_g_asymptotics(curve, dps=50):
@@ -372,12 +363,14 @@ class TestBranchCoeffs:
 
 class TestCutAntisymmetry:
     def test_real_part_vanishes_on_cuts(self, curve_mu):
-        # Re(g3 - g2) = 0 on (alpha, inf), Re(g2 - g1) = 0 on (-inf, beta)
-        for x in np.linspace(curve_mu.alpha + 0.2, curve_mu.alpha + 8.0, 15):
-            g3 = g_sheet(curve_mu, x, 3, side="+")
-            g2 = g_sheet(curve_mu, x, 2, side="+")
-            assert abs((g3 - g2).real) < 1e-10 * (1 + abs(g3))
-        for x in np.linspace(curve_mu.beta - 8.0, curve_mu.beta - 0.2, 15):
-            g2 = g_sheet(curve_mu, x, 2, side="+")
-            g1 = g_sheet(curve_mu, x, 1, side="+")
-            assert abs((g2 - g1).real) < 1e-10 * (1 + abs(g2))
+        # Re(g3 - g2) = 0 on (alpha, inf), Re(g2 - g1) = 0 on (-inf, beta),
+        # on the upper-side roots that `parametrix.global_M_sides` uses
+        x = np.concatenate([
+            np.linspace(curve_mu.alpha + 0.2, curve_mu.alpha + 8.0, 15),
+            np.linspace(curve_mu.beta - 8.0, curve_mu.beta - 0.2, 15)])
+        g1, g2, g3 = g_of_u(curve_mu, _cut_side_roots(curve_mu, x))
+        a, b = slice(None, 15), slice(15, None)
+        assert np.all(np.abs((g3 - g2)[a].real)
+                      < 1e-10 * (1 + np.abs(g3[a])))
+        assert np.all(np.abs((g2 - g1)[b].real)
+                      < 1e-10 * (1 + np.abs(g2[b])))
