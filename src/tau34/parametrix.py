@@ -17,11 +17,11 @@ quadrature (the integrand is single-valued around the point).
 
 M is evaluated on arrays: `global_M` and `global_M_sides` take the
 `SpectralCurve` and an array of lam (or x) and return (..., 3, 3) stacks
-from one root-kernel call (one stacked companion-matrix eigenvalue call on
-the cuts), and a scalar still gives 3x3 matrices.  The residue
-quadrature, the jump residuals and the normalization fit each evaluate all
-their points in one such call and use stacked numpy linear algebra; sums
-run in node order.
+from one root-kernel call (one closed-form Cardano evaluation on the
+cuts), and a scalar still gives 3x3 matrices.  The residue quadrature,
+the jump residuals and the normalization fit each evaluate all their
+points in one such call; the inverse of M is the exact M^-1 = -M^T K
+(K the exchange matrix, see `residue_W1`), and sums run in node order.
 """
 import cmath
 import math
@@ -30,8 +30,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from .param_domain import Params
 from .spectral_curve import (BRANCH_POINT_TOL, OMEGA, OnBranchPoint,
-                             _cut_side_roots, uniformize_all)
+                             _cut_side_roots, build_curve, g_of_u,
+                             uniformize_all)
 
 #: E_ij index pattern of the ray matrices, S_k = I + s_k E[pattern[k]]
 STOKES_PATTERN = {
@@ -251,8 +253,9 @@ def global_M(curve, lam):
 
 def global_M_sides(curve, x):
     """Exact boundary values (M(x + i0), M(x - i0)) of M on a cut, from one
-    eigenvalue call: the lower side's roots are the conjugates of the upper
-    side's.  An array of x gives two stacks of shape x.shape + (3, 3)."""
+    `_cut_side_roots` call: the lower side's roots are the conjugates of
+    the upper side's.  An array of x gives two stacks of shape
+    x.shape + (3, 3)."""
     x = np.asarray(x, dtype=float)
     u = _cut_side_roots(curve, x.ravel()).T
     Mp = _phi_rows(u, curve.sigma)
@@ -307,11 +310,12 @@ def residue_W1(curve, radius_factor=1e-2, n_nodes=256, agreement=1e-8,
     W1_hat is diag(1,-1,1) W1(mu -> -mu) diag(1,-1,1).
 
     Each radius is one batched evaluation over all n_nodes midpoint nodes:
-    one root-kernel call, stacked inverses, and a node-order sum.
+    one root-kernel call and a node-order sum.  The inverse is exact: with
+    M_ij = (i/sqrt 3) q_i(u_j)/s_j, q = (u^2 - 3 sigma/4, u, 1) and
+    s_j^2 = u_j^2 - a^2, Lagrange interpolation on the roots (the product
+    of u_j - u_m over m != j is lam'(u_j) = 3 s_j^2) gives M^-1 = -M^T K,
+    K the exchange matrix; the column-2 sign flip cancels out of it.
     """
-    from . import spectral_curve as sc
-    from .param_domain import Params
-
     gap = abs(curve.alpha - curve.beta)
     r0 = min(radius_factor * (1.0 + gap), 0.25 * gap)
     core = P_k_factor(1)
@@ -321,11 +325,11 @@ def residue_W1(curve, radius_factor=1e-2, n_nodes=256, agreement=1e-8,
     def quad(cv, radius):
         z = cv.beta + radius * nodes
         u, M = _M_off_cut(cv, z)
-        g = sc.g_of_u(cv, u)
+        g = g_of_u(cv, u)
         P = np.zeros((n_nodes, 3, 3), dtype=complex)
         P[:, :2, :2] = core * (2.0 / (g[1] - g[0]))[:, None, None]
-        terms = (M @ P @ np.linalg.inv(M)) * (radius * 1j * nodes)[:, None,
-                                                                    None]
+        M_inv = -M.swapaxes(1, 2)[:, :, ::-1]
+        terms = (M @ P @ M_inv) * (radius * 1j * nodes)[:, None, None]
         return terms.sum(axis=0) * (2.0 * math.pi / n_nodes) / (2j * math.pi)
 
     def converged(cv):
@@ -343,12 +347,8 @@ def residue_W1(curve, radius_factor=1e-2, n_nodes=256, agreement=1e-8,
 
     W1 = converged(curve)
     p = curve.params
-    if p.mu == 0.0:
-        W1m = W1
-    else:
-        curve_m = sc.build_curve(Params(p.eta, -p.mu, p.nu),
-                                 sigma=curve.sigma)
-        W1m = converged(curve_m)
+    W1m = W1 if p.mu == 0.0 else converged(
+        build_curve(Params(p.eta, -p.mu, p.nu), sigma=curve.sigma))
     D = np.diag([1.0, -1.0, 1.0])
     return ResidueData(W1=W1, W1_hat=D @ W1m @ D)
 
@@ -361,11 +361,13 @@ def jump_residuals(curve, n_points=20):
     """max |M+ - M- J| over points on each cut (exact side limits), both
     cuts in one `global_M_sides` call."""
     steps = np.linspace(0.3, 6.0, n_points)
-    Mp, Mm = global_M_sides(curve, np.concatenate([curve.alpha + steps,
-                                                   curve.beta - steps]))
-    a, b = slice(None, n_points), slice(n_points, None)
-    return {"alpha": float(np.max(np.abs(Mp[a] - Mm[a] @ JUMP_ALPHA))),
-            "beta": float(np.max(np.abs(Mm[b] - Mp[b] @ JUMP_BETA)))}
+    # where alpha + steps rounds to alpha, M is infinite: the rows read NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Mp, Mm = global_M_sides(curve, np.concatenate([curve.alpha + steps,
+                                                       curve.beta - steps]))
+        a, b = slice(None, n_points), slice(n_points, None)
+        return {"alpha": float(np.max(np.abs(Mp[a] - Mm[a] @ JUMP_ALPHA))),
+                "beta": float(np.max(np.abs(Mm[b] - Mp[b] @ JUMP_BETA)))}
 
 
 def normalization_slope(curve, radii=None, arg=0.8):

@@ -107,31 +107,22 @@ def _cut_side_roots(curve, x):
 
     On [alpha, inf) sheets 2 and 3 carry the conjugate pair (upper side:
     u2 = x0 - i y0, u3 = x0 + i y0 with y0 > 0); on (-inf, beta] sheets 1
-    and 2 do (upper side: u1 = x0 + i y0, u2 = x0 - i y0).  The roots are
-    the eigenvalues of the companion matrices `np.roots` would build, one
-    stacked `eigvals` call for all x.
+    and 2 do (upper side: u1 = x0 + i y0, u2 = x0 - i y0).  By Cardano,
+    with q = c - x and t the real cube root of -q/2 - sign(q) d, the real
+    root is t + a^2/t, x0 = -(t + a^2/t)/2 and y0 = (sqrt 3/2)|t - a^2/t|.
+    d^2 = q^2/4 - a^6 = (x - alpha)(x - beta)/4 is taken from the branch
+    points, which avoids both cancellation and overflow.
     """
     x = np.asarray(x, dtype=float)
-    # first row -(0, lam1, lam0 - x), signed zero included, as in np.roots
-    comp = np.zeros((x.size, 3, 3))
-    comp[:, 0, 0] = -0.0
-    comp[:, 0, 1] = -float(curve.lam_coeffs[1])
-    comp[:, 0, 2] = -(float(curve.lam_coeffs[0]) - x)
-    comp[:, 1, 0] = comp[:, 2, 1] = 1.0
-    r = np.linalg.eigvals(comp).astype(complex)
-    idx = np.arange(x.size)
-    i_real = np.argmin(np.abs(r.imag), axis=1)
-    real_root = r[idx, i_real]
-    real_root.imag = 0.0
-    # the other two roots in index order; ties keep the first, as min/max do
-    first = np.where(i_real == 0, 1, 0)
-    second = np.where(i_real == 2, 1, 2)
-    a, b = r[idx, first], r[idx, second]
-    lo = np.where(a.imag <= b.imag, a, b)
-    hi = np.where(a.imag >= b.imag, a, b)
-    lo.imag = -np.abs(lo.imag)
-    hi.imag = np.abs(hi.imag)
-    return np.where(x > curve.alpha, [real_root, lo, hi], [hi, lo, real_root])
+    q = curve.c - x
+    d = 0.5 * (np.sqrt(np.abs(x - curve.alpha))
+               * np.sqrt(np.abs(x - curve.beta)))
+    t = np.cbrt(-0.5 * q - np.copysign(d, q))
+    s = curve.a**2 / t
+    real_root = t + s
+    pair = -0.5 * real_root + 1j * (0.5 * math.sqrt(3.0)) * np.abs(t - s)
+    return np.where(x > curve.alpha, [real_root, pair.conjugate(), pair],
+                    [pair, pair.conjugate(), real_root])
 
 
 def uniformize_all(curve, lam):

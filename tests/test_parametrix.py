@@ -186,13 +186,22 @@ class TestGlobalM:
             assert res["alpha"] < 1e-10
             assert res["beta"] < 1e-10
 
-    def test_jump_matches_offset_evaluation(self, cv_mu):
-        x = cv_mu.alpha + 1.9
+    def test_jump_matches_offset_evaluation(self, d_grid20, cv_mu):
+        """The exact side limits against the root kernel at x +- i eps, and
+        the kernel's own jumps, at a few x on each cut of every d_grid20
+        curve.  Unlike `jump_residuals`, whose lower side is built from the
+        upper side's roots, this compares two root solvers."""
         eps = 1e-8
-        Mp = global_M(cv_mu, complex(x, eps))
-        Mm = global_M(cv_mu, complex(x, -eps))
-        assert np.max(np.abs(Mp - Mm @ JUMP_ALPHA)) < 1e-6
-        assert np.max(np.abs(global_M_sides(cv_mu, x)[0] - Mp)) < 1e-6
+        steps = np.array([0.3, 1.9, 6.0])
+        for cv in [build_curve(p) for p in d_grid20] + [cv_mu]:
+            xs = np.concatenate([cv.alpha + steps, cv.beta - steps])
+            Mp, Mm = global_M(cv, xs + 1j * eps), global_M(cv, xs - 1j * eps)
+            a, b = slice(None, 3), slice(3, None)
+            assert np.max(np.abs(Mp[a] - Mm[a] @ JUMP_ALPHA)) < 1e-6
+            assert np.max(np.abs(Mm[b] - Mp[b] @ JUMP_BETA)) < 1e-6
+            exact = global_M_sides(cv, xs)
+            assert np.max(np.abs(exact[0] - Mp)) < 1e-6
+            assert np.max(np.abs(exact[1] - Mm)) < 1e-6
 
     def test_normalization_slope(self, cv_mu):
         assert abs(normalization_slope(cv_mu) + 1.0) < 0.05
@@ -263,6 +272,27 @@ class TestResidue:
         assert abs(pairing.imag) < 1e-10 * max(1.0, abs(pairing.real))
         want = 0.5 * h1_first_correction(pt)
         assert pairing.real == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("pt", [(1.0, 0.0, 0.0), (1.0, 0.05, -0.3),
+                                    (0.5, -0.05, -0.1), (2.0, 0.1, 0.2)])
+    def test_exact_inverse_matches_linalg_inv(self, pt):
+        """M^-1 = -M^T K (K the exchange matrix), as `residue_W1` uses it, on
+        the first two residue circles about beta and off the cuts in both half
+        planes, for mu and -mu; np.linalg.inv is the oracle."""
+        nodes = np.exp(1j * 2.0 * math.pi * (np.arange(256) + 0.5) / 256)
+        for mu in (pt[1], -pt[1]):
+            cv = build_curve(Params(pt[0], mu, pt[2]))
+            gap = abs(cv.alpha - cv.beta)
+            r0 = min(1e-2 * (1.0 + gap), 0.25 * gap)
+            lam = np.concatenate([cv.beta + r0 * nodes,
+                                  cv.beta + 0.5 * r0 * nodes,
+                                  [2.5 + 1.3j, -4.0 + 0.7j, 1.0 - 2.0j,
+                                   40.0 - 9.0j, 0.1 + 1e-3j, 0.1 - 1e-3j]])
+            M = global_M(cv, lam)
+            want = np.linalg.inv(M)
+            err = np.linalg.norm(-M.swapaxes(1, 2)[:, :, ::-1] - want,
+                                 axis=(1, 2))
+            assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +367,8 @@ def node_loop_residue(curve, radius_factor=1e-2, n_nodes=256,
 
 
 def one_side_M(curve, x, side):
-    """Test-only oracle: one boundary value of M per eigenvalue call."""
+    """Test-only oracle: one boundary value of M per `_cut_side_roots`
+    call."""
     x = np.asarray(x, dtype=float)
     u = _cut_side_roots(curve, x.ravel())
     if side == "-":
@@ -349,8 +380,8 @@ def one_side_M(curve, x, side):
 
 
 def four_call_jump_residuals(curve, n_points=20):
-    """Test-only oracle: `jump_residuals` with one eigenvalue call per cut
-    and side."""
+    """Test-only oracle: `jump_residuals` with one `_cut_side_roots` call
+    per cut and side."""
     xs_a = curve.alpha + np.linspace(0.3, 6.0, n_points)
     Mp, Mm = one_side_M(curve, xs_a, "+"), one_side_M(curve, xs_a, "-")
     out = {"alpha": float(np.max(np.abs(Mp - Mm @ JUMP_ALPHA)))}
@@ -358,6 +389,17 @@ def four_call_jump_residuals(curve, n_points=20):
     Mp, Mm = one_side_M(curve, xs_b, "+"), one_side_M(curve, xs_b, "-")
     out["beta"] = float(np.max(np.abs(Mm - Mp @ JUMP_BETA)))
     return out
+
+
+@pytest.fixture(params=[(1.0, 0.3, -0.2), (1.0, 0.0, 0.0), (0.5, -0.05, -0.1)],
+                ids=["pt0", "pt1", "pt2"])
+def cut_roots(request):
+    """A curve, 80 x on its cuts (1e-6 to 1e3 from each branch point) and
+    the batched side limits (3, 80) there."""
+    cv = build_curve(Params(*request.param))
+    xs = np.concatenate([cv.alpha + np.geomspace(1e-6, 1e3, 40),
+                         cv.beta - np.geomspace(1e-6, 1e3, 40)])
+    return cv, xs, _cut_side_roots(cv, xs)
 
 
 class TestBatched:
@@ -408,12 +450,33 @@ class TestBatched:
             assert one.shape == (3, 3)
             assert np.max(np.abs(M - one)) <= ULPS * np.max(np.abs(one))
 
-    @pytest.mark.parametrize("pt", [(1.0, 0.3, -0.2), (1.0, 0.0, 0.0),
-                                    (0.5, -0.05, -0.1)])
-    def test_cut_side_roots_match_np_roots(self, pt):
-        cv = build_curve(Params(*pt))
-        xs = np.concatenate([cv.alpha + np.geomspace(1e-6, 1e3, 40),
-                             cv.beta - np.geomspace(1e-6, 1e3, 40)])
-        batch = _cut_side_roots(cv, xs)
+    def test_cut_side_roots_match_np_roots(self, cut_roots):
+        # an independent root solver (1.3e-13 relative when written)
+        cv, xs, batch = cut_roots
         for k, x in enumerate(xs):
-            assert np.array_equal(batch[:, k], scalar_cut_side_roots(cv, x))
+            want = scalar_cut_side_roots(cv, x)
+            assert np.max(np.abs(batch[:, k] - want)) \
+                <= 1e-11 * np.max(np.abs(want))
+
+    def test_cubic_residual(self, cut_roots):
+        cv, xs, u = cut_roots
+        lam1, q = float(cv.lam_coeffs[1]), cv.c - xs
+        res = np.abs(u**3 + lam1 * u + q)
+        scale = np.abs(u)**3 + abs(lam1) * np.abs(u) + np.abs(q)
+        assert np.all(res <= 4.0 * np.finfo(float).eps * scale)
+
+    def test_exactly_conjugate_pair(self, cut_roots):
+        cv, xs, (u1, u2, u3) = cut_roots
+        on_alpha = xs > cv.alpha
+        real = np.where(on_alpha, u1, u3)
+        upper = np.where(on_alpha, u3, u1)
+        assert np.all(real.imag == 0.0)
+        assert np.all(upper.imag > 0.0)
+        assert np.array_equal(u2, upper.conjugate())
+
+    def test_batch_equals_scalar_calls(self, cut_roots):
+        cv, xs, batch = cut_roots
+        for k, x in enumerate(xs):
+            assert np.array_equal(_cut_side_roots(cv, np.array([x]))[:, 0],
+                                  batch[:, k])
+            assert np.array_equal(_cut_side_roots(cv, x), batch[:, k])

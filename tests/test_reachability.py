@@ -19,7 +19,7 @@ SRC = Path(tau34.__file__).parent
 #: reason -> the functions (module.qualname) that only tests call
 TEST_ONLY = {
     "the topological expansion, the paper's headline claim: whether it "
-    "becomes a certify row is open (ROADMAP item 4)": (
+    "becomes a certify row is open (ROADMAP item 3)": (
         "tau_expansion.ExpansionJet.u0", "tau_expansion.ExpansionJet.v0",
         "tau_expansion._sigma_refined", "tau_expansion._jet_derivative",
         "tau_expansion.expansion_jet", "tau_expansion.string_residual",
@@ -40,7 +40,8 @@ TEST_ONLY = {
     ),
 }
 
-#: the CI loop's extreme inputs: each must end without a traceback
+#: extreme inputs, which the CI workflow also runs through the console
+#: script: each must end without a traceback
 EXTREME = (["certify", "--eta", "1e200"], ["sigma", "--eta", "1e308"],
            ["tau", "--nu", "5"], ["critical", "--eta", "1e30"],
            ["critical", "--eta", "1e120"], ["pi", "--x-end", "3"],
@@ -49,7 +50,8 @@ EXTREME = (["certify", "--eta", "1e200"], ["sigma", "--eta", "1e308"],
            ["certify", "--eta", "1", "--nu=-1e200"],
            ["tau", "--eta", "1", "--nu=-1e200"],
            ["parametrix", "--eta=-676586.4282446072",
-            "--mu=138843.51463656646", "--nu=-0.010108945468011433"])
+            "--mu=138843.51463656646", "--nu=-0.010108945468011433"],
+           ["certify", "--eta=-1e40", "--mu=0", "--nu=-1e100"])
 
 
 def defined_functions():

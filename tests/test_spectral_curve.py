@@ -260,9 +260,12 @@ class TestAsymptotics:
         # the row's verdict from tau_expansion's h1_0 instead of the
         # Laurent tau^-1 coefficient: the two modules must agree
         from tau34.critical import nu_critical
+        # nu from -0.7 |nc| - 0.3 up to 0.15 |nc| below nc (nc < 0 for
+        # small eta and large |mu|, where 0.85 nc is past the surface)
         nc = nu_critical(eta, mu)
+        top = nc - 0.15 * abs(nc)
         p = Params(eta, mu, -0.7 * abs(nc) - 0.3
-                   + frac * (0.85 * nc + 0.7 * abs(nc) + 0.3))
+                   + frac * (top + 0.7 * abs(nc) + 0.3))
         cv = build_curve(p)
         margin = check_g_asymptotics(cv)
         bound = laurent_at_infinity(cv, 1).tail_bound[0]
