@@ -8,7 +8,7 @@ bit-identical across runs; numbers are written with 17 significant digits.
 
 Exit codes: 0 success, 1 certification failure, 2 usage/config error or a
 solver failure (a point outside the domain, a Painleve I solve that meets a
-pole, a residue quadrature that does not settle).
+pole, a residue series at beta that is not finite or not single-valued).
 """
 import argparse
 import functools
@@ -56,7 +56,9 @@ def emit(report, columns, fmt_name, out_path):
     if fmt_name == "csv":
         lines = [",".join(columns)]
         for rec in report.records:
-            lines.append(",".join(fmt(rec.get(c, "")) for c in columns))
+            # a float cell is the common case: format it without fmt's tests
+            lines.append(",".join(f"{v:.17g}" if type(v) is float else fmt(v)
+                                  for v in (rec.get(c, "") for c in columns)))
         text = "\n".join(lines) + "\n"
     else:
         rows = []
@@ -501,7 +503,7 @@ def main(argv=None):
         args = apply_config(args, argv)
         report, columns = args.func(args)
     except (ConfigError, ValueError, cr.PoleEncountered,
-            px.QuadratureError) as exc:
+            px.ResidueError) as exc:
         print(f"tau34: error: {exc}", file=sys.stderr)
         return 2
     report.wall_time = time.perf_counter() - t0

@@ -380,6 +380,11 @@ def _largest_real_root(mp, b, d):
     return +s
 
 
+#: one mpmath context per decimal precision, made on the first call that
+#: asks for it: cloning one took about 0.35 ms of a 0.8 ms call
+_MP_CONTEXTS = {}
+
+
 def tritronquee_constant(eta0, side, n_vec=(0.0, -1.0), x=-1.0, dps=40):
     """Leading coefficient of the double-scaled branch root against
     sqrt(-x); equals 6^(-1/2) on both strata.
@@ -400,9 +405,11 @@ def tritronquee_constant(eta0, side, n_vec=(0.0, -1.0), x=-1.0, dps=40):
     that d/b^3, which sets the size of that correction, does not grow as
     eta0 -> 0.
     """
-    import mpmath
-    mp = mpmath.mp.clone()
-    mp.dps = dps
+    mp = _MP_CONTEXTS.get(dps)
+    if mp is None:
+        import mpmath
+        mp = _MP_CONTEXTS[dps] = mpmath.mp.clone()
+        mp.dps = dps
     if x >= 0:
         raise ValueError("x must be negative (real splitting side)")
     scale = min(mp.mpf(1), abs(mp.mpf(eta0))) ** mp.mpf("3.5")

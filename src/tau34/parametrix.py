@@ -12,16 +12,16 @@ distinguished data set sits on the intersection of planes 0 and 1.
 
 The global parametrix M solves the two-cut model problem in closed form via
 the uniformization coordinates; the first small-norm correction is the
-residue W1 of M (P1 (+) 0) M^-1 at the left branch point, computed by circle
-quadrature (the integrand is single-valued around the point).
+residue W1 of M (P1 (+) 0) M^-1 at the left branch point beta.  Near beta
+the sheet roots are power series in omega = sqrt(lam - beta) (scaled), so
+W1 is one coefficient of a finite Laurent computation (`residue_W1`): no
+radius, no nodes.
 
 M is evaluated on arrays: `global_M` and `global_M_sides` take the
 `SpectralCurve` and an array of lam (or x) and return (..., 3, 3) stacks
 from one root-kernel call (one closed-form Cardano evaluation on the
-cuts), and a scalar still gives 3x3 matrices.  The residue quadrature,
-the jump residuals and the normalization fit each evaluate all their
-points in one such call; the inverse of M is the exact M^-1 = -M^T K
-(K the exchange matrix, see `residue_W1`), and sums run in node order.
+cuts), and a scalar still gives 3x3 matrices.  The jump residuals and the
+normalization fit each evaluate all their points in one such call.
 """
 import cmath
 import math
@@ -30,10 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .param_domain import Params
 from .spectral_curve import (BRANCH_POINT_TOL, OMEGA, OnBranchPoint,
-                             _cut_side_roots, build_curve, g_of_u,
-                             uniformize_all)
+                             _cut_side_roots, uniformize_all)
 
 #: E_ij index pattern of the ray matrices, S_k = I + s_k E[pattern[k]]
 STOKES_PATTERN = {
@@ -191,16 +189,6 @@ def P_k_matrix(k, zeta):
 # global parametrix
 # ---------------------------------------------------------------------------
 
-class QuadratureError(RuntimeError):
-    """The residue quadrature did not settle as the radius shrank."""
-
-
-@dataclass(frozen=True)
-class ResidueData:
-    W1: np.ndarray
-    W1_hat: np.ndarray
-
-
 def _phi_rows(u, sigma):
     """M_ij = phi_i(u_j) for sheet roots u (..., 3): shape (..., 3, 3).
 
@@ -297,60 +285,144 @@ REFLECT_LEFT = np.diag([1.0, -1.0, 1.0]).astype(complex)
 REFLECT_RIGHT = np.array([[0, 0, -1], [0, 1, 0], [-1, 0, 0]], dtype=complex)
 
 
-def residue_W1(curve, radius_factor=1e-2, n_nodes=256, agreement=1e-8,
-               max_shrink=4):
-    """W1 = Res at beta of M (P1 (+) 0) M^-1, by circle quadrature.
+# ---------------------------------------------------------------------------
+# the first correction: a Laurent coefficient at beta
+# ---------------------------------------------------------------------------
 
-    P1 is `P_k_factor(1)` times (2/3 zeta^(3/2))^(-1) = 2/(g2 - g1), which
-    makes the integrand single-valued around the point.  Two radii (r, r/2)
-    must agree to `agreement`; the radius auto-shrinks a few times
-    otherwise, and QuadratureError is raised when they never do.  The
-    first radius is radius_factor (1 + |alpha - beta|), but at most
-    |alpha - beta|/4, so that the circle about beta never encloses alpha.
-    W1_hat is diag(1,-1,1) W1(mu -> -mu) diag(1,-1,1).
+class ResidueError(RuntimeError):
+    """The Laurent series of the residue integrand at beta is not finite,
+    or keeps an odd power of sqrt(lam - beta)."""
 
-    Each radius is one batched evaluation over all n_nodes midpoint nodes:
-    one root-kernel call and a node-order sum.  The inverse is exact: with
-    M_ij = (i/sqrt 3) q_i(u_j)/s_j, q = (u^2 - 3 sigma/4, u, 1) and
-    s_j^2 = u_j^2 - a^2, Lagrange interpolation on the roots (the product
-    of u_j - u_m over m != j is lam'(u_j) = 3 s_j^2) gives M^-1 = -M^T K,
-    K the exchange matrix; the column-2 sign flip cancels out of it.
+
+@dataclass(frozen=True)
+class ResidueData:
+    W1: np.ndarray
+    W1_hat: np.ndarray
+
+
+def _binomial(p, n):
+    """[binom(p, 0), ..., binom(p, n - 1)] for real p."""
+    out = [1.0]
+    for k in range(1, n):
+        out.append(out[-1] * (p - k + 1) / k)
+    return out
+
+
+#: terms of the local series at beta: g2 - g1 = omega^3 G(omega) needs G
+#: through omega^3, so the sheet roots are carried through omega^6
+_ORDER = 7
+_LAG = np.subtract.outer(np.arange(_ORDER), np.arange(_ORDER))
+
+
+def _toeplitz(x):
+    """Lower-triangular Toeplitz matrices (..., n, n) of truncated power
+    series x (..., n): the product of x and y is _toeplitz(x) @ y.  The
+    negative lags above the diagonal index from the end and are masked."""
+    lag = _LAG[:x.shape[-1], :x.shape[-1]]
+    return x[..., lag] * (lag >= 0)
+
+
+def _series_pow(x, p):
+    """x^p for truncated power series x (..., n) whose constant terms are
+    positive (nonzero for integer p): x0^p (1 + d)^p with d = x/x0 - 1,
+    summed as the binomial series."""
+    x0 = x[..., :1]
+    d = x / x0
+    d[..., 0] = 0.0
+    shift = _toeplitz(d)
+    term = np.zeros_like(d)
+    term[..., 0] = 1.0
+    out = term
+    for c in _binomial(p, x.shape[-1])[1:]:
+        term = (shift @ term[..., None])[..., 0]
+        out = out + c * term
+    return x0 ** p * out
+
+
+# The local series at beta = lam(a).  Put u = a (1 + tau), so that
+# lam - beta = a^3 tau^2 (3 + tau) = a^3 omega^2.  Lagrange inversion gives
+# sheet 1 as tau = sum_k binom(-k/2, k-1) 3^(1 - 3k/2) omega^k / k, omega
+# the principal root above the cut, and sheet 2 is sheet 1 at -omega.  In
+# tau and omega nothing depends on the point: these are constants.
+
+_TAU = np.array([0.0] + [_binomial(-0.5 * k, k)[-1] * 3.0 ** (1.0 - 1.5 * k)
+                         / k for k in range(1, _ORDER)])
+#: the two sheets, (sheet, omega^k)
+_SHEETS = np.stack([_TAU, (-1.0) ** np.arange(_ORDER) * _TAU])
+#: tau_j^p, (sheet, p, omega^k)
+_POWERS = np.stack([np.linalg.matrix_power(_toeplitz(_SHEETS), p)[..., 0]
+                    for p in range(_ORDER)], axis=1)
+#: (g2 - g1)/omega^3 through omega^3 from the tau^2..tau^6 Taylor
+#: coefficients of g(a (1 + tau)); the tau^1 one is zero, as lam'(a) is
+_G_OF_TAYLOR = (_POWERS[1, 2:] - _POWERS[0, 2:])[:, 3:]
+#: tau^k coefficients (k = 2..6) of (1 + tau)^n (n = 0..7, the degree of g)
+_SHIFT = np.array([[math.comb(n, k) for k in range(2, _ORDER)]
+                   for n in range(8)], dtype=float)
+#: 1/h_j through omega^3: s_j = a sqrt(+-omega) h_j (principal roots, + on
+#: sheet 1), h_j^2 = +-tau_j (2 + tau_j)/omega
+_INV_H = _series_pow(np.array([[1.0], [-1.0]])
+                     * (2.0 * _POWERS[:, 1] + _POWERS[:, 2])[:, 1:5], -0.5)
+#: q = (u^2 - 3 sigma/4, u, 1) = (a^2 (-1/2 + 2 tau + tau^2), a (1 + tau), 1),
+#: as coefficients of tau^0..tau^2
+_Q_OF_TAU = np.array([[-0.5, 2.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+#: phi_ij = q_i(u_j)/(a^(3-i) h_j) through omega^3, (j, i, omega^k)
+_PHI = np.einsum("jab,ic,jcb->jia", _toeplitz(_INV_H), _Q_OF_TAU,
+                 _POWERS[:, :3, :4])
+#: phi_ij phi_mk through omega^3, (j, k, i, m, omega^n)
+_PHI_PAIRS = np.einsum("jiab,kmb->jkima", _toeplitz(_PHI), _PHI)
+#: omega a^2/(s_j s_k) = _BRANCH_jk/(h_j h_k): s1 s2 = -i omega a^2 h1 h2
+_BRANCH = np.array([[1.0, 1.0j], [1.0j, -1.0]])
+#: W1_il carries a^(d_i + d_(4-l) + 1), d = (2, 1, 0) the a-degrees of q
+_A_POWER = 3 - np.subtract.outer(np.arange(3), np.arange(3))
+#: largest odd coefficient of R(omega) allowed, relative to its largest one
+ODD_TOL = 1e-12
+
+
+def residue_W1(curve):
+    """W1 = Res at beta of M (P1 (+) 0) M^-1 from its Laurent series, and
+    W1_hat = diag(1,-1,1) W1(mu -> -mu) diag(1,-1,1).
+
+    P1 is `P_k_factor(1)` (core) times (2/3 zeta^(3/2))^(-1) = 2/(g2 - g1),
+    and M^-1 = -M^T K, K the exchange matrix: with M_ij = (i/sqrt 3)
+    q_i(u_j)/s_j and s_j^2 = u_j^2 - a^2, Lagrange interpolation on the
+    roots gives it, since the product of u_j - u_m over m != j is
+    lam'(u_j) = 3 s_j^2; the column-2 sign flip cancels out of it.  So the
+    integrand is
+
+        F_il = (2/3) (g2 - g1)^-1 sum_{j,k <= 2} core_jk q_i(u_j)
+               q_(4-l)(u_k) / (s_j s_k).
+
+    In the local variables u = a (1 + tau), lam - beta = a^3 omega^2 (see
+    `_SHEETS`), g2 - g1 = omega^3 G(omega) and
+    F_il = (2/3) a^(l - i) omega^-4 R_i(4-l)(omega) with the power series
+    R_im = sum_jk core_jk _BRANCH_jk phi_ij phi_mk / G, so that
+    W1_il = (2/3) a^(3 - i + l) R_i(4-l),2 (i, l = 1..3).  Only G depends
+    on the point, through the Taylor coefficients of g at a.  The -mu curve
+    has the same a and g(u; -mu) = C - g(-u; mu), so its coefficients are
+    those of -g at -a.
+
+    F is single-valued in lam, so R_1 and R_3 vanish: an odd coefficient
+    above ODD_TOL times the largest one, or a series that is not finite
+    (a branch point of higher order, or double overflow), raises
+    ResidueError.
     """
-    gap = abs(curve.alpha - curve.beta)
-    r0 = min(radius_factor * (1.0 + gap), 0.25 * gap)
-    core = P_k_factor(1)
-    nodes = np.exp(1j * (2.0 * math.pi * (np.arange(n_nodes) + 0.5)
-                         / n_nodes))
-
-    def quad(cv, radius):
-        z = cv.beta + radius * nodes
-        u, M = _M_off_cut(cv, z)
-        g = g_of_u(cv, u)
-        P = np.zeros((n_nodes, 3, 3), dtype=complex)
-        P[:, :2, :2] = core * (2.0 / (g[1] - g[0]))[:, None, None]
-        M_inv = -M.swapaxes(1, 2)[:, :, ::-1]
-        terms = (M @ P @ M_inv) * (radius * 1j * nodes)[:, None, None]
-        return terms.sum(axis=0) * (2.0 * math.pi / n_nodes) / (2j * math.pi)
-
-    def converged(cv):
-        r = r0
-        for _ in range(max_shrink):
-            w_a = quad(cv, r)
-            w_b = quad(cv, r / 2.0)
-            if np.max(np.abs(w_a - w_b)) < agreement:
-                return w_b
-            r /= 2.0
-        diff = float(np.max(np.abs(w_a - w_b)))
-        raise QuadratureError(
-            f"residue quadrature did not stabilize: radii {2.0 * r!r} and "
-            f"{r!r} differ by {diff!r} > {agreement!r}")
-
-    W1 = converged(curve)
-    p = curve.params
-    W1m = W1 if p.mu == 0.0 else converged(
-        build_curve(Params(p.eta, -p.mu, p.nu), sigma=curve.sigma))
+    a = curve.a
+    A = np.einsum("jk,jkimn->imn", P_k_factor(1) * _BRANCH, _PHI_PAIRS)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # tau^2..tau^6 coefficients of g(a (1 + tau)) and of -g(-a (1 + tau))
+        at = np.array([[a], [-a]]) ** np.arange(_SHIFT.shape[0])
+        taylor = np.array([[1.0], [-1.0]]) * ((curve.g_coeffs * at) @ _SHIFT)
+        inv_G = _series_pow(taylor @ _G_OF_TAYLOR, -1.0)     # (mu, -mu)
+        R = np.einsum("imb,sab->sima", A, _toeplitz(inv_G))
+        odd, top = np.max(np.abs(R[..., 1::2])), np.max(np.abs(R))
+        if not (np.isfinite(top) and odd <= ODD_TOL * top):
+            raise ResidueError(
+                f"the Laurent series at beta = {curve.beta!r} is not a "
+                f"series in lambda - beta: odd coefficient {odd!r}, largest "
+                f"{top!r}")
+        W = (2.0 / 3.0) * a ** _A_POWER * R[:, :, ::-1, 2]
     D = np.diag([1.0, -1.0, 1.0])
-    return ResidueData(W1=W1, W1_hat=D @ W1m @ D)
+    return ResidueData(W1=W[0], W1_hat=D @ W[1] @ D)
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,13 @@ def rng():
 
 
 def random_domain_points(rng, n, eta_range=(0.4, 2.2), mu_max=0.12):
-    """Deterministic sample of interior points (nu drawn below critical)."""
+    """Deterministic sample of interior points: nu drawn below the
+    critical surface by at least 0.15 |nu_critical|, on either sign of it."""
     pts = []
     while len(pts) < n:
         eta = rng.uniform(*eta_range)
         mu = rng.uniform(-mu_max, mu_max)
         nc = nu_critical(eta, mu)
-        nu = rng.uniform(-0.7 * abs(nc) - 0.3, 0.85 * nc)
+        nu = rng.uniform(-0.7 * abs(nc) - 0.3, nc - 0.15 * abs(nc))
         pts.append(Params(eta, mu, nu))
     return pts

@@ -11,7 +11,11 @@ None of these is run by a `tau34` command:
     Laurent tail, which the exact claim of `check_g_asymptotics` replaced;
   * `fhat`, the normalization matrix whose inverse `parametrix.fhat_inv`
     writes in closed form;
-  * `h1_first_correction`, the closed-form oracle of the residue pairing;
+  * `node_loop_residue`, the residue W1 by circle quadrature with one
+    root-kernel call and one matrix inverse per node, which the Laurent
+    series of `parametrix.residue_W1` replaced;
+  * `h1_first_correction` (mu = 0) and `genus_one_pairing` (all of D), the
+    closed-form oracles of the residue pairing;
   * `fd_dlogtau_consistency`, the tau-differential identities by central
     differences with six neighbour solves, which the complex step of
     `tau_expansion.dlogtau_consistency` replaced;
@@ -29,6 +33,7 @@ import numpy as np
 from tau34 import param_domain as pd
 from tau34 import spectral_curve as sc
 from tau34 import tau_expansion as te
+from tau34.parametrix import airy_series
 
 
 def mp_context(dps):
@@ -200,6 +205,77 @@ def h1_first_correction(p, sigma=None):
         sigma = pd.solve_sigma(p).sigma
     s, e = sigma, p.eta
     return (9.0 * s - 5.0 * e) / (6.0 * s**2 * (5.0 * e - 3.0 * s) ** 2)
+
+
+def genus_one_pairing(p, sigma=None):
+    """d/dnu F1 with F1 = -(1/24) log chi, chi = `tau_leading(p).chi`: the
+    genus-one term that the residue pairing -(W1 + W1_hat)[2, 0] of
+    `parametrix.residue_W1` equals on all of D (Dijkgraaf & Witten 1990).
+
+    d/dnu log chi is one complex step along the root, as
+    `tau_expansion._along_root` takes it: chi at (eta, mu, s + i h s_nu),
+    h = 1e-30.  On mu = 0 it is half of `h1_first_correction`.
+    """
+    jets = pd.sigma_jets(p, depth=1, sigma=sigma)
+    h = 1e-30
+    chi = te._tau(p.eta, p.mu, jets.sigma)[1]
+    step = te._tau(p.eta, p.mu, complex(jets.sigma, h * jets.dnu[1]))[1]
+    return -(step.imag / h) / (24.0 * chi)
+
+
+def node_loop_residue(curve, radius_factor=1e-2, n_nodes=256,
+                      agreement=1e-8, max_shrink=4):
+    """(W1, W1_hat) of `parametrix.residue_W1` by circle quadrature about
+    beta: one root-kernel call and one `np.linalg.inv` per midpoint node,
+    the -mu curve built again.
+
+    Two radii (r, r/2) must agree to `agreement` (absolute); the radius
+    halves up to max_shrink times, else RuntimeError.  The first radius is
+    radius_factor (1 + |alpha - beta|), at most |alpha - beta|/4, so that
+    the circle never encloses alpha.  P1 = core 2/(g2 - g1), core the
+    zeta-free factor of `parametrix.P_k_factor(1)` written out again, makes
+    the integrand single-valued around beta.
+    """
+    gap = abs(curve.alpha - curve.beta)
+    r0 = min(radius_factor * (1.0 + gap), 0.25 * gap)
+    co = airy_series(1)
+    A = np.array([[1.0, -1.0j], [-1.0j, 1.0]])
+    B = np.array([[-1.0, 1.0j], [-1.0j, 1.0]])
+    core = 0.5 * (A @ np.diag([float(co.s[1]), float(co.t[1])]) @ B)
+
+    def quad(cv, radius):
+        a = math.sqrt(cv.sigma / 2.0)
+        tot = np.zeros((3, 3), dtype=complex)
+        for k in range(n_nodes):
+            e = cmath.exp(1j * 2.0 * math.pi * (k + 0.5) / n_nodes)
+            z = cv.beta + radius * e
+            u = sc.uniformize_all(cv, np.array([z]))[:, 0]
+            g = sc.g_of_u(cv, u)
+            P = np.zeros((3, 3), dtype=complex)
+            P[:2, :2] = core * (2.0 / (g[1] - g[0]))
+            srt = np.sqrt(u - a) * np.sqrt(u + a)
+            M = (1j / math.sqrt(3.0)) * np.array(
+                [(u * u - 0.75 * cv.sigma) / srt, u / srt, 1.0 / srt])
+            if z.imag < 0.0:
+                M[:, 1] *= -1.0
+            tot += (M @ P @ np.linalg.inv(M)) * (radius * 1j * e)
+        return tot * (2.0 * math.pi / n_nodes) / (2j * math.pi)
+
+    def converged(cv):
+        r = r0
+        for _ in range(max_shrink):
+            w_a, w_b = quad(cv, r), quad(cv, r / 2.0)
+            if np.max(np.abs(w_a - w_b)) < agreement:
+                return w_b
+            r /= 2.0
+        raise RuntimeError("residue quadrature did not stabilize")
+
+    p = curve.params
+    W1 = converged(curve)
+    W1m = W1 if p.mu == 0.0 else converged(
+        sc.build_curve(pd.Params(p.eta, -p.mu, p.nu), sigma=curve.sigma))
+    D = np.diag([1.0, -1.0, 1.0])
+    return W1, D @ W1m @ D
 
 
 def fd_dlogtau_consistency(p, step=1e-5):

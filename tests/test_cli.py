@@ -1,5 +1,4 @@
 import argparse
-import functools
 import json
 import math
 import os
@@ -14,6 +13,8 @@ from hypothesis import strategies as st
 from tau34 import cli
 from tau34 import param_domain as pd
 from tau34.cli import build_parser, certify_point, main, parse_grid
+
+from oracles import genus_one_pairing
 
 
 def run(capsys, *argv):
@@ -288,6 +289,14 @@ class TestCertify:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_import_does_not_load_mpmath(self):
+        # every command pays the import: mpmath would add 23-77 ms to it
+        code = "import sys, tau34.cli; print('mpmath' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_point_commands_do_not_import_scipy(self, tmp_path):
         # pi: the Painleve I solve is numpy collocation, not solve_bvp;
         # surface: the Gauss-angle maximum is in closed form, not a search;
@@ -427,14 +436,17 @@ class TestOther:
         code, out, err = run(capsys, "parametrix", "--eta=-5", "--nu=-1e-6")
         assert code == 0 and "residue,pairing," in out
 
-    def test_parametrix_unsettled_quadrature_exit_two(self, capsys,
-                                                       monkeypatch):
-        monkeypatch.setattr(cli.px, "residue_W1", functools.partial(
-            cli.px.residue_W1, agreement=0.0))
-        code, out, err = run(capsys, "parametrix")
-        assert code == 2 and out == ""
-        assert err.startswith("tau34: error: residue quadrature did not "
-                              "stabilize")
+    def test_parametrix_where_branch_points_nearly_meet(self, capsys):
+        # |alpha - beta| = 2.8e-9 and max|W1| = 5.0e3: the circle
+        # quadrature never settled here and the command exited 2
+        pt = (-676586.4282446072, 138843.51463656646, -0.010108945468011433)
+        code, out, _ = run(capsys, "parametrix", f"--eta={pt[0]!r}",
+                           f"--mu={pt[1]!r}", f"--nu={pt[2]!r}")
+        assert code == 0
+        row = next(line for line in out.splitlines()
+                   if line.startswith("residue,pairing,"))
+        want = genus_one_pairing(pd.Params(*pt))
+        assert abs(float(row.split(",")[2]) - want) <= 1e-13 * abs(want)
 
     def test_critical_records(self, capsys):
         code, out, _ = run(capsys, "critical", "--eta", "1")

@@ -73,6 +73,14 @@ class TestSolveSigma:
             sol = solve_sigma(p)
             assert sol.residual <= 1e-13 * (1.0 + abs(sol.sigma) ** 3)
 
+    def test_random_points_are_in_domain_where_nu_critical_is_negative(self):
+        # eta near 0.4 with |mu| near 0.12 puts nu_critical below 0 (129 of
+        # these 300 draws): 0.85 nu_critical lay past the surface there
+        from conftest import random_domain_points
+        pts = random_domain_points(np.random.default_rng(1), 300,
+                                   eta_range=(0.38, 0.45))
+        assert all(in_domain_D(p).in_D for p in pts)
+
     @pytest.mark.parametrize("pt", WRONG_ROOT)
     def test_largest_root_where_the_continuation_is_wrong(self, pt):
         # both are simple roots of P above max(5 eta/3, 0); D's is the

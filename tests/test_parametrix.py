@@ -1,25 +1,28 @@
-import cmath
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tau34 import cli
+from tau34 import parametrix as px
 from tau34.param_domain import Params
 from tau34.parametrix import (JUMP_ALPHA, JUMP_BETA, REFLECT_LEFT,
                               REFLECT_RIGHT, SCAL, STOKES_PATTERN,
                               STOKES_PLANES, TRUNCATED_S7, P_k_matrix,
-                              StokesData, _exact, _stokes_product,
-                              _phi_rows, airy_series, fhat_inv, global_M,
-                              global_M_sides, identity3, jump_residuals,
-                              normalization_slope, plane_membership,
-                              residue_W1, stokes_check)
+                              ResidueError, StokesData, _exact,
+                              _stokes_product, _phi_rows, airy_series,
+                              fhat_inv, global_M, global_M_sides, identity3,
+                              jump_residuals, normalization_slope,
+                              plane_membership, residue_W1, stokes_check)
 from tau34.spectral_curve import (OnBranchPoint, _cut_side_roots, build_curve,
-                                  g_of_u, uniformize_all)
+                                  uniformize_all)
 
-from oracles import fhat, h1_first_correction
+from oracles import (fhat, genus_one_pairing, h1_first_correction,
+                     node_loop_residue)
 
 
 def _matmul3(a, b):
@@ -243,11 +246,6 @@ class TestGlobalM:
 
 
 class TestResidue:
-    def test_radius_independence(self, cv_mu):
-        rd_a = residue_W1(cv_mu, radius_factor=1e-2)
-        rd_b = residue_W1(cv_mu, radius_factor=5e-3)
-        assert np.max(np.abs(rd_a.W1 - rd_b.W1)) < 1e-8
-
     def test_reflection_at_mu_zero(self, cv_sym):
         rd = residue_W1(cv_sym)
         D = np.diag([1.0, -1.0, 1.0])
@@ -276,9 +274,10 @@ class TestResidue:
     @pytest.mark.parametrize("pt", [(1.0, 0.0, 0.0), (1.0, 0.05, -0.3),
                                     (0.5, -0.05, -0.1), (2.0, 0.1, 0.2)])
     def test_exact_inverse_matches_linalg_inv(self, pt):
-        """M^-1 = -M^T K (K the exchange matrix), as `residue_W1` uses it, on
-        the first two residue circles about beta and off the cuts in both half
-        planes, for mu and -mu; np.linalg.inv is the oracle."""
+        """M^-1 = -M^T K (K the exchange matrix), on which the series of
+        `residue_W1` rests, on two circles about beta (the first two radii
+        of the quadrature oracle) and off the cuts in both half planes, for
+        mu and -mu; np.linalg.inv is the oracle."""
         nodes = np.exp(1j * 2.0 * math.pi * (np.arange(256) + 0.5) / 256)
         for mu in (pt[1], -pt[1]):
             cv = build_curve(Params(pt[0], mu, pt[2]))
@@ -293,6 +292,99 @@ class TestResidue:
             err = np.linalg.norm(-M.swapaxes(1, 2)[:, :, ::-1] - want,
                                  axis=(1, 2))
             assert np.all(err <= 1e-13 * np.linalg.norm(want, axis=(1, 2)))
+
+
+#: the four parametrix points of the benchmark; with d_grid20, 24 points
+PARAMETRIX_POINTS = [(1.0, 0.0, 0.0), (1.0, 0.05, -0.3), (0.5, -0.05, -0.1),
+                     (2.0, 0.1, 0.2)]
+#: near the minus stratum, |alpha - beta| = 1.1e-5 and 7.1e-7, and a point
+#: with |alpha - beta| = 2.8e-9, where the circle quadrature never settled
+HARD_POINTS = [(-5.0, 0.0, -1e-6), (-2.0, 0.0, -1e-8),
+               (-676586.4282446072, 138843.51463656646,
+                -0.010108945468011433)]
+
+
+@pytest.fixture(scope="module")
+def residue_points(d_grid20):
+    return [Params(*pt) for pt in PARAMETRIX_POINTS] + list(d_grid20)
+
+
+def pairing_gap(p):
+    """Relative gap of the residue pairing to the genus-one closed form."""
+    rd = residue_W1(build_curve(p))
+    want = genus_one_pairing(p)
+    return abs(-(rd.W1 + rd.W1_hat)[2, 0] - want) / abs(want)
+
+
+def mutant(old, new):
+    """The namespace of `tau34.parametrix` run again with one substitution
+    in its source, whose constants a test can put in place."""
+    src = Path(px.__file__).read_text()
+    assert src.count(old) == 1
+    ns = {"__name__": "tau34._parametrix_mutant", "__package__": "tau34"}
+    exec(compile(src.replace(old, new), px.__file__, "exec"), ns)
+    return ns
+
+
+class TestResidueSeries:
+    def test_matches_quadrature_oracle(self, residue_points):
+        # at most 4.4e-13 max|W1| when written
+        for p in residue_points:
+            cv = build_curve(p)
+            rd = residue_W1(cv)
+            for got, want in zip((rd.W1, rd.W1_hat), node_loop_residue(cv)):
+                assert np.max(np.abs(got - want)) \
+                    <= 1e-12 * np.max(np.abs(want))
+
+    def test_pairing_against_genus_one(self, residue_points):
+        # -(W1 + W1_hat)_31 = d/dnu F1, F1 = -(1/24) log chi, on all of D
+        for p in residue_points + [Params(*pt) for pt in HARD_POINTS]:
+            assert pairing_gap(p) <= 1e-13
+
+    @pytest.mark.parametrize("pt", [(1.0, 0.0, 0.0), (2.0, 0.0, 0.3),
+                                    (-5.0, 0.0, -1e-6), (0.5, 0.0, -0.1)])
+    def test_genus_one_oracle_on_mu_zero(self, pt):
+        p = Params(*pt)
+        assert genus_one_pairing(p) == pytest.approx(
+            0.5 * h1_first_correction(p), rel=1e-11)
+
+    def test_sheet_series_match_kernel(self, residue_points):
+        """u_j = a (1 + tau_j(omega)) and s_j = a sqrt(+-omega) h_j, the
+        sheets and square roots `residue_W1` expands, against the root
+        kernel and `_phi_rows`' roots at lam = beta + a^3 omega^2 above the
+        cut."""
+        omega = 1e-3 * np.exp(1j * np.array([0.2, 0.8, 1.4]))
+        npoly = np.polynomial.polynomial
+        for p in residue_points:
+            cv = build_curve(p)
+            a = cv.a
+            u = uniformize_all(cv, cv.beta + a**3 * omega**2)[:2]
+            tau = np.array([npoly.polyval(omega, c) for c in px._SHEETS])
+            assert np.max(np.abs(u - a * (1.0 + tau))) <= 1e-10 * a
+            s = np.sqrt(u - a) * np.sqrt(u + a)
+            h = 1.0 / np.array([npoly.polyval(omega, c) for c in px._INV_H])
+            want = a * np.sqrt(np.array([omega, -omega])) * h
+            assert np.max(np.abs(s - want) / np.abs(want)) <= 1e-8
+
+    def test_wrong_sheet_fails_the_odd_check(self, monkeypatch, capsys):
+        # sheet 2 as -tau(omega) instead of tau(-omega): the series keeps
+        # odd powers of sqrt(lam - beta)
+        ns = mutant("(-1.0) ** np.arange(_ORDER) * _TAU", "-_TAU")
+        for name in ("_G_OF_TAYLOR", "_PHI_PAIRS"):
+            monkeypatch.setattr(px, name, ns[name])
+        with pytest.raises(ResidueError, match="odd coefficient"):
+            residue_W1(build_curve(Params(1.0, 0.05, -0.3)))
+        assert cli.main(["parametrix"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("tau34: error: the Laurent series at beta")
+
+    def test_wrong_cross_branch_fails_the_pairing(self, monkeypatch):
+        # s1 s2 = +i omega a^2 h1 h2 keeps the series even, so the odd
+        # check passes it; the genus-one closed form does not
+        monkeypatch.setattr(px, "_BRANCH",
+                            np.array([[1.0, -1.0j], [-1.0j, -1.0]]))
+        assert pairing_gap(Params(1.0, 0.05, -0.3)) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -319,51 +411,6 @@ def scalar_cut_side_roots(curve, x):
     if x > curve.alpha:
         return np.array([real_root, lo, hi])
     return np.array([hi, lo, real_root])
-
-
-def node_loop_residue(curve, radius_factor=1e-2, n_nodes=256,
-                      agreement=1e-8, max_shrink=4):
-    """residue_W1 as one root-kernel call and one inverse per node."""
-    gap = abs(curve.alpha - curve.beta)
-    r0 = min(radius_factor * (1.0 + gap), 0.25 * gap)
-    co = airy_series(1)
-    A = np.array([[1.0, -1.0j], [-1.0j, 1.0]])
-    B = np.array([[-1.0, 1.0j], [-1.0j, 1.0]])
-    core = 0.5 * (A @ np.diag([float(co.s[1]), float(co.t[1])]) @ B)
-
-    def quad(cv, radius):
-        a = math.sqrt(cv.sigma / 2.0)
-        tot = np.zeros((3, 3), dtype=complex)
-        for k in range(n_nodes):
-            e = cmath.exp(1j * 2.0 * math.pi * (k + 0.5) / n_nodes)
-            z = cv.beta + radius * e
-            u = uniformize_all(cv, np.array([z]))[:, 0]
-            g = g_of_u(cv, u)
-            P = np.zeros((3, 3), dtype=complex)
-            P[:2, :2] = core * (2.0 / (g[1] - g[0]))
-            srt = np.sqrt(u - a) * np.sqrt(u + a)
-            M = (1j / math.sqrt(3.0)) * np.array(
-                [(u * u - 0.75 * cv.sigma) / srt, u / srt, 1.0 / srt])
-            if z.imag < 0.0:
-                M[:, 1] *= -1.0
-            tot += (M @ P @ np.linalg.inv(M)) * (radius * 1j * e)
-        return tot * (2.0 * math.pi / n_nodes) / (2j * math.pi)
-
-    def converged(cv):
-        r = r0
-        for _ in range(max_shrink):
-            w_a, w_b = quad(cv, r), quad(cv, r / 2.0)
-            if np.max(np.abs(w_a - w_b)) < agreement:
-                return w_b
-            r /= 2.0
-        raise RuntimeError("residue quadrature did not stabilize")
-
-    p = curve.params
-    W1 = converged(curve)
-    W1m = W1 if p.mu == 0.0 else converged(
-        build_curve(Params(p.eta, -p.mu, p.nu), sigma=curve.sigma))
-    D = np.diag([1.0, -1.0, 1.0])
-    return W1, D @ W1m @ D
 
 
 def one_side_M(curve, x, side):
@@ -411,15 +458,6 @@ class TestBatched:
             Mp, Mm = global_M_sides(cv, xs)
             assert Mp.tobytes() == one_side_M(cv, xs, "+").tobytes()
             assert Mm.tobytes() == one_side_M(cv, xs, "-").tobytes()
-
-    @pytest.mark.parametrize("pt", [(1.0, 0.0, 0.0), (1.0, 0.05, -0.3),
-                                    (0.5, -0.05, -0.1), (2.0, 0.1, 0.2)])
-    def test_residue_matches_node_loop(self, pt):
-        cv = build_curve(Params(*pt))
-        rd = residue_W1(cv)
-        W1, W1_hat = node_loop_residue(cv)
-        assert np.max(np.abs(rd.W1 - W1)) <= 1e-14
-        assert np.max(np.abs(rd.W1_hat - W1_hat)) <= 1e-14
 
     def test_global_M_stack_equals_scalar_calls(self, cv_mu):
         cv = cv_mu
