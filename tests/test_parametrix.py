@@ -309,6 +309,15 @@ def residue_points(d_grid20):
     return [Params(*pt) for pt in PARAMETRIX_POINTS] + list(d_grid20)
 
 
+def assert_series_matches_node_loop(cv):
+    """The series W1 and W1_hat against the circle-quadrature oracle, to
+    1e-12 of the entry scale: the quadrature's own round-off near beta is
+    up to 4e-13 of it."""
+    rd = residue_W1(cv)
+    for got, want in zip((rd.W1, rd.W1_hat), node_loop_residue(cv)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def pairing_gap(p):
     """Relative gap of the residue pairing to the genus-one closed form."""
     rd = residue_W1(build_curve(p))
@@ -327,14 +336,11 @@ def mutant(old, new):
 
 
 class TestResidueSeries:
-    def test_matches_quadrature_oracle(self, residue_points):
-        # at most 4.4e-13 max|W1| when written
-        for p in residue_points:
-            cv = build_curve(p)
-            rd = residue_W1(cv)
-            for got, want in zip((rd.W1, rd.W1_hat), node_loop_residue(cv)):
-                assert np.max(np.abs(got - want)) \
-                    <= 1e-12 * np.max(np.abs(want))
+    def test_matches_quadrature_oracle(self, d_grid20):
+        # at most 4.4e-13 max|W1| when written; the four benchmark points
+        # are TestBatched::test_residue_matches_node_loop
+        for p in d_grid20:
+            assert_series_matches_node_loop(build_curve(p))
 
     def test_pairing_against_genus_one(self, residue_points):
         # -(W1 + W1_hat)_31 = d/dnu F1, F1 = -(1/24) log chi, on all of D
@@ -458,6 +464,11 @@ class TestBatched:
             Mp, Mm = global_M_sides(cv, xs)
             assert Mp.tobytes() == one_side_M(cv, xs, "+").tobytes()
             assert Mm.tobytes() == one_side_M(cv, xs, "-").tobytes()
+
+    @pytest.mark.parametrize("pt", PARAMETRIX_POINTS)
+    def test_residue_matches_node_loop(self, pt):
+        # the Laurent series replaced the per-node quadrature loop
+        assert_series_matches_node_loop(build_curve(Params(*pt)))
 
     def test_global_M_stack_equals_scalar_calls(self, cv_mu):
         cv = cv_mu
