@@ -1,72 +1,60 @@
-"""The hot kernel: sheet-resolved roots of the curve cubic, in numpy.
+"""The hot kernel: sheet-resolved roots of the curve cubic, in closed form.
 
-The spectral curve is lam(u) = u^3 - 3*a2*u + c0.  For each sample lam the
-three roots are computed by complex Cardano (plus two Newton polish steps)
-and assigned to sheets by the hyperbola-region rule: the preimages of the
-three sheets in the u-plane are separated by the curve 3x^2 - y^2 = 3*a2
-(x = Re u, y = Im u).  Sheet 2 is the middle region, sheet 1 the right
-component, sheet 3 the left one.  The rule agrees with the asymptotic
-labels u1 ~ lam^(1/3), u2 ~ w^{+-2} lam^(1/3), u3 ~ w^{+-1} lam^(1/3)
-(w = exp(2i pi/3)) on the respective half-planes.
+lam(u) = u^3 - 3 a2 u + c0 (a2 = a^2, c0 real) has branch points
+alpha, beta = c0 +- 2 a^3 and cuts (-inf, beta] (sheets 1|2), [alpha, inf)
+(2|3).  With principal roots, omega = exp(2 i pi/3) and w = conj(omega) for
+Im lam >= 0, w = omega below,
 
-Every elementwise step runs on contiguous 1-D arrays of the n samples (one
-row per Cardano branch), so a sample's roots do not depend on how many
-samples share the call.  `benchmarks/bench_kernels.py` times the kernel at
-n = 1, 1e3 and 1e5.
+    t^3 = (lam - c0 + sqrt(lam - alpha) sqrt(lam - beta))/2,   s = a2/t,
+    u1 = t + s,   u2 = w t + conj(w) s,   u3 = conj(w) t + w s.
+
+t^3 is the inverse Joukowski map, so |t|^3 >= a^3: t and s never cancel, and
+no Newton polish is needed (Kahan, "To Solve a Real Cubic Equation", 1986).
+t = cbrt|t^3| exp(i arg(t^3)/3), s = a2/|t| times the conjugate phase (0 at
+t = 0).  Near a branch point the roots move like sqrt(lam - alpha), so
+lam - alpha and lam - beta take the exact error of lam - c0 and 2 a^3 as a
+double word.  The labels are analytic continuation, not a search: the cube
+root jumps only on (-inf, beta], and w glues sheets 2|3 across [alpha, inf).
+A zero imaginary part of either sign is the upper side: -0.0 becomes +0.0 on
+entry, for the square roots, the angle and w alike.  Every step is
+elementwise, so no root depends on the batch size.
 """
+import math
+
 import numpy as np
 
 BACKEND = "numpy"
 
-_OMEGA = np.exp(2j * np.pi / 3)
-#: the cube-root branch factors w^k of the three Cardano roots
-_BRANCHES = tuple(_OMEGA**k for k in range(3))
+OMEGA = complex(-0.5, 0.5 * math.sqrt(3.0))
 
 
-def _cubic_roots(a2, c0, lam):
-    """Roots of u^3 - 3*a2*u + (c0 - lam) = 0 for 1-D lam, shape (3, n)."""
-    p = np.complex128(-3.0 * a2)
-    q = c0 - lam
-    roots = np.empty((3, lam.shape[0]), dtype=np.complex128)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = np.sqrt(q * q / 4.0 + p**3 / 27.0)
-        # pick the Cardano cube whose magnitude avoids cancellation
-        c3a = -q / 2.0 + disc
-        c3b = -q / 2.0 - disc
-        cval = np.where(np.abs(c3a) >= np.abs(c3b), c3a, c3b) ** (1.0 / 3.0)
-        for k, w in enumerate(_BRANCHES):
-            ck = cval * w
-            u = ck - p / (3.0 * ck)
-            # a vanishing Cardano cube (p = 0): the root is the cube root of -q
-            small = np.abs(ck) < 1e-300
-            if small.any():
-                u[small] = (-q[small]) ** (1.0 / 3.0) * w
-            for _ in range(2):
-                # np.multiply keeps the operand order: from 256 KiB up, numpy
-                # would reuse the temporary of `u * (u * u + p)` and swap the
-                # operands, and its FMA complex product is not symmetric
-                f = np.multiply(u, u * u + p) + q
-                fp = 3.0 * u * u + p
-                u = u - np.where(np.abs(fp) > 1e-300, f / fp, 0.0)
-            roots[k] = u
-    return roots
+def _two_prod(x, y):
+    """(p, e) with x y = p + e exactly, for floats below about 1e300."""
+    xh, yh = 134217729.0 * x, 134217729.0 * y
+    xh, yh = xh - (xh - x), yh - (yh - y)
+    xl, yl = x - xh, y - yh
+    return x * y, xh * yh - x * y + xh * yl + xl * yh + xl * yl
 
 
 def sheet_roots(a2, c0, lam):
     """Sheet-assigned roots, shape (3,) + lam.shape (sheets 1, 2, 3)."""
     lam = np.atleast_1d(np.asarray(lam, dtype=np.complex128))
-    r = _cubic_roots(a2, c0, lam.ravel())
-    # sheet 2: the smallest region value (the first one on ties)
-    mid = np.argmin(3.0 * r.real**2 - r.imag**2 - 3.0 * a2, axis=0)
-    mid0, mid2 = mid == 0, mid == 2
-    # the other two roots in index order; sheet 1 takes the larger real part,
-    # the first root on a tie, and a NaN real part as the larger (as argmax)
-    first = np.where(mid0, r[1], r[0])
-    second = np.where(mid2, r[1], r[2])
-    x0, x1 = first.real, second.real
-    swap = (x1 > x0) | (np.isnan(x1) & ~np.isnan(x0))
-    out = np.empty_like(r)
-    out[0] = np.where(swap, second, first)
-    out[1] = np.where(mid0, r[0], np.where(mid2, r[2], r[1]))
-    out[2] = np.where(swap, first, second)
+    flat = lam.ravel() + 0.0    # -0.0 imaginary parts become +0.0
+    a = math.sqrt(a2)
+    p, pl = _two_prod(a, a)
+    h, l = _two_prod(2.0 * a2, a)     # 2 a^3 = h + l, where l also
+    l += a * ((a2 - p) - pl)          # corrects the rounding of a
+    with np.errstate(invalid="ignore"):
+        q = flat - c0
+        z = q.real - flat.real
+        qe = (flat.real - (q.real - z)) - (c0 + z)     # (lam - c0) - q exactly
+        d = np.sqrt(q - h + (qe - l)) * np.sqrt(q + h + (qe + l))
+        t3 = 0.5 * (q + d)
+        r = np.cbrt(np.abs(t3))
+        e = np.exp(1j * (np.angle(t3) / 3.0))
+        s = np.divide(a2, r, out=np.zeros_like(r), where=r > 0.0) * e.conj()
+    t = r * e
+    w = np.where(flat.imag >= 0.0, OMEGA.conjugate(), OMEGA)
+    wc = w.conj()
+    out = np.stack([t + s, w * t + wc * s, wc * t + w * s])
     return out.reshape((3,) + lam.shape)

@@ -188,9 +188,8 @@ def certify_point(pt, tol_scale, stokes_ok=None):
     boundary = not rep.in_D
     sigma = rep.sigma if rep.in_D else None
     if boundary:
-        # eta * eta * eta overflows to inf where eta**3 would raise
-        if mu == 0.0 and eta > 0 and abs(nu - 125.0 * eta * eta * eta
-                                          / 108.0) < 1e-9 * (1.0 + abs(nu)):
+        if mu == 0.0 and eta > 0 and abs(nu - cr.nu_critical(eta, 0.0)) \
+                < 1e-9 * (1.0 + abs(nu)):
             sigma = 5.0 * eta / 3.0
         else:
             add("domain:overflow" if "overflow" in rep.reason else "domain",

@@ -19,9 +19,8 @@ radius, no nodes.
 
 M is evaluated on arrays: `global_M` and `global_M_sides` take the
 `SpectralCurve` and an array of lam (or x) and return (..., 3, 3) stacks
-from one root-kernel call (one closed-form Cardano evaluation on the
-cuts), and a scalar still gives 3x3 matrices.  The jump residuals and the
-normalization fit each evaluate all their points in one such call.
+(3x3 for a scalar) from one call of `_kernels.sheet_roots`, the one root
+kernel, on and off the cuts; so do the jump residuals and normalization fit.
 """
 import cmath
 import math
@@ -31,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .spectral_curve import (BRANCH_POINT_TOL, OMEGA, OnBranchPoint,
-                             _cut_side_roots, uniformize_all)
+                             uniformize_all)
 
 #: E_ij index pattern of the ray matrices, S_k = I + s_k E[pattern[k]]
 STOKES_PATTERN = {
@@ -209,19 +208,10 @@ def _phi_rows(u, sigma):
                      pref / srt], axis=-2)
 
 
-def _M_off_cut(curve, lam):
-    """Sheet roots (3, n) and M (n, 3, 3) at lam (n,) off the cuts, with
-    the column-2 sign flip in the lower half plane."""
-    u = uniformize_all(curve, lam)
-    M = _phi_rows(u.T, curve.sigma)
-    M[lam.imag < 0.0, :, 1] *= -1.0
-    return u, M
-
-
 def global_M(curve, lam):
     """The 3x3 parametrix M_ij(lam) = phi_i(u_j(lam)), with the column-2
-    sign flip in the lower half plane; Im lam = 0 is treated as the upper
-    limit.  An array of lam gives a stack of shape lam.shape + (3, 3)."""
+    sign flip in the lower half plane; Im lam = +-0 is the upper limit, as in
+    the root kernel.  An array of lam gives a stack lam.shape + (3, 3)."""
     lam = np.asarray(lam, dtype=complex)
     flat = lam.ravel()
     near = np.minimum(np.abs(flat - curve.alpha), np.abs(flat - curve.beta))
@@ -229,23 +219,18 @@ def global_M(curve, lam):
     if at_branch.any():
         raise OnBranchPoint(
             f"lambda = {complex(flat[at_branch][0])} is at a branch point")
-    on_cut = (flat.imag == 0.0) & ((flat.real > curve.alpha)
-                                   | (flat.real < curve.beta))
-    M = np.empty((flat.size, 3, 3), dtype=complex)
-    if on_cut.any():
-        M[on_cut] = global_M_sides(curve, flat.real[on_cut])[0]
-    if not on_cut.all():
-        M[~on_cut] = _M_off_cut(curve, flat[~on_cut])[1]
+    M = _phi_rows(uniformize_all(curve, flat).T, curve.sigma)
+    M[flat.imag < 0.0, :, 1] *= -1.0
     return M.reshape(lam.shape + (3, 3))
 
 
 def global_M_sides(curve, x):
-    """Exact boundary values (M(x + i0), M(x - i0)) of M on a cut, from one
-    `_cut_side_roots` call: the lower side's roots are the conjugates of
-    the upper side's.  An array of x gives two stacks of shape
+    """Boundary values (M(x + i0), M(x - i0)) of M on a cut.  The upper
+    side's roots are the root kernel's at real x, and the lower side's are
+    their conjugates.  An array of x gives two stacks of shape
     x.shape + (3, 3)."""
     x = np.asarray(x, dtype=float)
-    u = _cut_side_roots(curve, x.ravel()).T
+    u = uniformize_all(curve, x.ravel()).T
     Mp = _phi_rows(u, curve.sigma)
     Mm = _phi_rows(u.conjugate(), curve.sigma)
     Mm[..., 1] *= -1.0
@@ -431,12 +416,12 @@ def residue_W1(curve):
 
 def jump_residuals(curve, n_points=20):
     """max |M+ - M- J| over points on each cut (exact side limits), both
-    cuts in one `global_M_sides` call."""
-    steps = np.linspace(0.3, 6.0, n_points)
-    # where alpha + steps rounds to alpha, M is infinite: the rows read NaN
+    cuts in one `global_M_sides` call.  The points lie 0.3 to 6 times
+    1 + alpha - beta, the lensing scale, from the branch points."""
+    d = np.linspace(0.3, 6.0, n_points) * (1.0 + (curve.alpha - curve.beta))
     with np.errstate(divide="ignore", invalid="ignore"):
-        Mp, Mm = global_M_sides(curve, np.concatenate([curve.alpha + steps,
-                                                       curve.beta - steps]))
+        Mp, Mm = global_M_sides(curve, np.concatenate([curve.alpha + d,
+                                                       curve.beta - d]))
         a, b = slice(None, n_points), slice(n_points, None)
         return {"alpha": float(np.max(np.abs(Mp[a] - Mm[a] @ JUMP_ALPHA))),
                 "beta": float(np.max(np.abs(Mm[b] - Mp[b] @ JUMP_BETA)))}

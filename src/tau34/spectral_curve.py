@@ -21,8 +21,8 @@ g(U(tau)) - Theta(tau) exactly; `check_g_asymptotics` reads the matching
 claim g_j - theta_j = c tau^-1 + O(tau^-2), c != 0, off that expansion.
 
 Sheets are cut along (-inf, beta] (1|2 gluing) and [alpha, inf) (2|3
-gluing), alpha = lam(-a), beta = lam(a).  Side limits on the cuts are exact
-(conjugate-pair assignment), not epsilon offsets.
+gluing), alpha = lam(-a), beta = lam(a).  The one root kernel,
+`_kernels.sheet_roots`, returns the upper limits on the cuts.
 """
 import cmath
 import math
@@ -31,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._kernels import OMEGA
 from .param_domain import Params, DomainError, solve_sigma
-
-OMEGA = complex(-0.5, math.sqrt(3.0) / 2.0)
 
 #: branch-point exclusion radius of `parametrix.global_M`, relative to
 #: 1 + |lambda|
@@ -99,30 +98,6 @@ def build_curve(p, sigma=None):
     beta = float(npoly.polyval(a, lam).real)
     return SpectralCurve(params=p, sigma=sigma, a=a, lam_coeffs=lam,
                          Y_coeffs=Y, g_coeffs=g, alpha=alpha, beta=beta)
-
-
-def _cut_side_roots(curve, x):
-    """Exact upper-side limits (3, n) of (u1, u2, u3) for real x (n,) on
-    the cuts; x > alpha is on [alpha, inf), anything else on (-inf, beta].
-
-    On [alpha, inf) sheets 2 and 3 carry the conjugate pair (upper side:
-    u2 = x0 - i y0, u3 = x0 + i y0 with y0 > 0); on (-inf, beta] sheets 1
-    and 2 do (upper side: u1 = x0 + i y0, u2 = x0 - i y0).  By Cardano,
-    with q = c - x and t the real cube root of -q/2 - sign(q) d, the real
-    root is t + a^2/t, x0 = -(t + a^2/t)/2 and y0 = (sqrt 3/2)|t - a^2/t|.
-    d^2 = q^2/4 - a^6 = (x - alpha)(x - beta)/4 is taken from the branch
-    points, which avoids both cancellation and overflow.
-    """
-    x = np.asarray(x, dtype=float)
-    q = curve.c - x
-    d = 0.5 * (np.sqrt(np.abs(x - curve.alpha))
-               * np.sqrt(np.abs(x - curve.beta)))
-    t = np.cbrt(-0.5 * q - np.copysign(d, q))
-    s = curve.a**2 / t
-    real_root = t + s
-    pair = -0.5 * real_root + 1j * (0.5 * math.sqrt(3.0)) * np.abs(t - s)
-    return np.where(x > curve.alpha, [real_root, pair.conjugate(), pair],
-                    [pair, pair.conjugate(), real_root])
 
 
 def uniformize_all(curve, lam):

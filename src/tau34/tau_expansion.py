@@ -227,14 +227,14 @@ def _along_root(f, p, jets):
 
 
 def flow_compatibility(p, sigma=None):
-    """Residuals of the three leading-order flow identities.
+    """Relative residuals of the three leading-order flow identities.
 
       (i)   du0/dmu + 2 dv0/dnu
       (ii)  dv0/dmu + u0 du0/dnu
       (iii) du0/deta - d/dnu [u0^3/4 - v0^2/2 - (5/3) eta u0^2] - 4/3
 
     with u0 = s and v0 = -2 mu/(5 eta - 3 s), differentiated along the root
-    by the complex step (no finite differences).
+    by the complex step, each over 1 + the magnitudes of its terms.
     """
     jets = pd.sigma_jets(p, depth=1, sigma=sigma)
 
@@ -244,9 +244,9 @@ def flow_compatibility(p, sigma=None):
 
     (du_deta, _, _), (du_dmu, dv_dmu, _), (du_dnu, dv_dnu, dbracket_dnu) = \
         _along_root(fields, p, jets)
-    return (du_dmu + 2.0 * dv_dnu,
-            dv_dmu + jets.sigma * du_dnu,
-            du_deta - dbracket_dnu - 4.0 / 3.0)
+    terms = ((du_dmu, 2.0 * dv_dnu), (dv_dmu, jets.sigma * du_dnu),
+             (du_deta, -dbracket_dnu, -4.0 / 3.0))
+    return tuple(sum(t) / (1.0 + sum(map(abs, t))) for t in terms)
 
 
 def dlogtau_consistency(p, sigma=None):

@@ -184,9 +184,14 @@ class TestCertify:
         assert "stokes-constraint" in out
 
     def test_boundary_annotated(self, capsys):
+        # on gamma-plus (nu = nu_critical(1, 0)): the boundary branch, with
+        # no domain row and no tau rows
         code, out, _ = run(capsys, "certify", "--eta", "1", "--nu",
                            "1.1574074074074074")
         assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 11
+        assert not any(",domain" in row for row in rows)
 
 
     def test_small_leading_coefficient_point_passes(self):
@@ -227,10 +232,43 @@ class TestCertify:
             assert {c for c, ok in passed.items() if not ok} == failing
 
     def test_overflowing_eta_is_out_of_domain(self, capsys):
+        # nu_critical(1e200, 0) overflows to nan, so the gamma-plus test
+        # fails and the point is out of the domain
         code, out, err = run(capsys, "certify", "--eta", "1e200")
         assert code == 1
-        assert ",domain:overflow,1,0,false" in out
+        assert out == ("eta,mu,nu,check,value,tolerance,passed\n"
+                       "9.9999999999999997e+199,0,0,domain:overflow,1,0,"
+                       "false\n")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
+    def test_flow_compatibility_near_surface(self, eta):
+        # 1e-8 (1 + nu_c) below gamma-plus the terms of (ii) are about 7.6e3,
+        # and their absolute sum is 2.4e-9 to 8.9e-9, past the 1e-10
+        # tolerance; relative to the terms it is rounding
+        from tau34.critical import nu_critical
+        nc = nu_critical(eta, 0.0)
+        recs = certify_point((eta, 0.0, nc - 1e-8 * (1.0 + nc)), 1.0)
+        flows = [r for r in recs if r["check"] == "flow-compatibility"]
+        assert len(flows) == 1 and flows[0]["passed"]
+
+    def test_flow_compatibility_fails_without_the_constant(self, d_grid20,
+                                                           monkeypatch):
+        # negative control: identity (iii) without its -4/3
+        from tau34 import tau_expansion as te
+        src = Path(te.__file__).read_text()
+        old = "(du_deta, -dbracket_dnu, -4.0 / 3.0)"
+        assert src.count(old) == 1
+        ns = {"__name__": "tau34._tau_expansion_mutant",
+              "__package__": "tau34"}
+        exec(compile(src.replace(old, "(du_deta, -dbracket_dnu)"),
+                     te.__file__, "exec"), ns)
+        monkeypatch.setattr(te, "flow_compatibility",
+                            ns["flow_compatibility"])
+        for p in d_grid20:
+            recs = certify_point((p.eta, p.mu, p.nu), 1.0)
+            assert [r["passed"] for r in recs
+                    if r["check"] == "flow-compatibility"] == [False]
 
     def test_overflowing_tau_data_fail_a_row(self, capsys):
         # sigma = 5.8e66 is in D, but sigma**5 leaves double range

@@ -18,8 +18,7 @@ from tau34.parametrix import (JUMP_ALPHA, JUMP_BETA, REFLECT_LEFT,
                               fhat_inv, global_M, global_M_sides, identity3,
                               jump_residuals, normalization_slope,
                               plane_membership, residue_W1, stokes_check)
-from tau34.spectral_curve import (OnBranchPoint, _cut_side_roots, build_curve,
-                                  uniformize_all)
+from tau34.spectral_curve import OnBranchPoint, build_curve, uniformize_all
 
 from oracles import (fhat, genus_one_pairing, h1_first_correction,
                      node_loop_residue)
@@ -205,6 +204,27 @@ class TestGlobalM:
             exact = global_M_sides(cv, xs)
             assert np.max(np.abs(exact[0] - Mp)) < 1e-6
             assert np.max(np.abs(exact[1] - Mm)) < 1e-6
+
+    def test_real_lambda_on_a_cut_is_the_upper_limit(self, d_grid20):
+        # x + 0j and x - 0j alike: the kernel's upper-side roots
+        for cv in [build_curve(p) for p in d_grid20]:
+            xs = np.concatenate([cv.alpha + np.geomspace(1e-3, 1e3, 7),
+                                 cv.beta - np.geomspace(1e-3, 1e3, 7)])
+            upper = global_M_sides(cv, xs)[0].tobytes()
+            assert global_M(cv, xs + 0j).tobytes() == upper
+            assert global_M(cv, xs - 0j).tobytes() == upper
+
+    def test_jump_rows_finite_at_huge_alpha(self):
+        # the steps scale with 1 + |alpha - beta|: at |alpha| = 6e44,
+        # absolute steps would round onto alpha and both rows read NaN
+        cv = build_curve(Params(-1e40, 0.0, -1e100))
+        res = jump_residuals(cv)
+        steps = np.linspace(0.3, 6.0, 20) * (1.0 + abs(cv.alpha - cv.beta))
+        Mp, Mm = global_M_sides(cv, np.concatenate([cv.alpha + steps,
+                                                    cv.beta - steps]))
+        scale = max(np.max(np.abs(Mp)), np.max(np.abs(Mm)))
+        assert np.isfinite(res["alpha"]) and np.isfinite(res["beta"])
+        assert max(res.values()) <= ULPS * scale
 
     def test_normalization_slope(self, cv_mu):
         assert abs(normalization_slope(cv_mu) + 1.0) < 0.05
@@ -420,10 +440,9 @@ def scalar_cut_side_roots(curve, x):
 
 
 def one_side_M(curve, x, side):
-    """Test-only oracle: one boundary value of M per `_cut_side_roots`
-    call."""
+    """Test-only oracle: one boundary value of M per root-kernel call."""
     x = np.asarray(x, dtype=float)
-    u = _cut_side_roots(curve, x.ravel())
+    u = uniformize_all(curve, x.ravel() + 0j)
     if side == "-":
         u = u.conjugate()
     M = _phi_rows(u.T, curve.sigma)
@@ -433,12 +452,14 @@ def one_side_M(curve, x, side):
 
 
 def four_call_jump_residuals(curve, n_points=20):
-    """Test-only oracle: `jump_residuals` with one `_cut_side_roots` call
-    per cut and side."""
-    xs_a = curve.alpha + np.linspace(0.3, 6.0, n_points)
+    """Test-only oracle: `jump_residuals` with one root-kernel call per cut
+    and side."""
+    steps = np.linspace(0.3, 6.0, n_points) * (1.0 + abs(curve.alpha
+                                                         - curve.beta))
+    xs_a = curve.alpha + steps
     Mp, Mm = one_side_M(curve, xs_a, "+"), one_side_M(curve, xs_a, "-")
     out = {"alpha": float(np.max(np.abs(Mp - Mm @ JUMP_ALPHA)))}
-    xs_b = curve.beta - np.linspace(0.3, 6.0, n_points)
+    xs_b = curve.beta - steps
     Mp, Mm = one_side_M(curve, xs_b, "+"), one_side_M(curve, xs_b, "-")
     out["beta"] = float(np.max(np.abs(Mm - Mp @ JUMP_BETA)))
     return out
@@ -448,11 +469,11 @@ def four_call_jump_residuals(curve, n_points=20):
                 ids=["pt0", "pt1", "pt2"])
 def cut_roots(request):
     """A curve, 80 x on its cuts (1e-6 to 1e3 from each branch point) and
-    the batched side limits (3, 80) there."""
+    the upper-side roots (3, 80) the kernel gives there."""
     cv = build_curve(Params(*request.param))
     xs = np.concatenate([cv.alpha + np.geomspace(1e-6, 1e3, 40),
                          cv.beta - np.geomspace(1e-6, 1e3, 40)])
-    return cv, xs, _cut_side_roots(cv, xs)
+    return cv, xs, uniformize_all(cv, xs + 0j)
 
 
 class TestBatched:
@@ -515,17 +536,24 @@ class TestBatched:
         assert np.all(res <= 4.0 * np.finfo(float).eps * scale)
 
     def test_exactly_conjugate_pair(self, cut_roots):
+        # exact on [alpha, inf), where t and s are real; on (-inf, beta]
+        # the phase exp(i pi/3) rounds: the pair is conjugate and u3 real to
+        # a few ulps (measured 4 and 0.7 eps relative)
         cv, xs, (u1, u2, u3) = cut_roots
         on_alpha = xs > cv.alpha
-        real = np.where(on_alpha, u1, u3)
-        upper = np.where(on_alpha, u3, u1)
-        assert np.all(real.imag == 0.0)
-        assert np.all(upper.imag > 0.0)
-        assert np.array_equal(u2, upper.conjugate())
+        assert np.all(u1[on_alpha].imag == 0.0)
+        assert np.array_equal(u2[on_alpha], u3[on_alpha].conjugate())
+        assert np.all(u3.imag[on_alpha] > 0.0)
+        assert np.all(u1.imag[~on_alpha] > 0.0)
+        assert np.all(np.abs(u2 - u1.conjugate())[~on_alpha]
+                      <= ULPS * np.abs(u1[~on_alpha]))
+        assert np.all(np.abs(u3.imag[~on_alpha])
+                      <= ULPS * np.abs(u3[~on_alpha]))
 
     def test_batch_equals_scalar_calls(self, cut_roots):
         cv, xs, batch = cut_roots
         for k, x in enumerate(xs):
-            assert np.array_equal(_cut_side_roots(cv, np.array([x]))[:, 0],
+            assert np.array_equal(uniformize_all(cv, np.array([x + 0j]))[:, 0],
                                   batch[:, k])
-            assert np.array_equal(_cut_side_roots(cv, x), batch[:, k])
+            assert np.array_equal(uniformize_all(cv, x + 0j)[:, 0],
+                                  batch[:, k])

@@ -19,7 +19,7 @@ SRC = Path(tau34.__file__).parent
 #: reason -> the functions (module.qualname) that only tests call
 TEST_ONLY = {
     "the topological expansion, the paper's headline claim: whether it "
-    "becomes a certify row is open (ROADMAP item 3)": (
+    "becomes a certify row is open (ROADMAP item 2)": (
         "tau_expansion.ExpansionJet.u0", "tau_expansion.ExpansionJet.v0",
         "tau_expansion._sigma_refined", "tau_expansion._jet_derivative",
         "tau_expansion.expansion_jet", "tau_expansion.string_residual",
@@ -29,10 +29,6 @@ TEST_ONLY = {
         "series.Jet.__sub__", "series.Jet.__rsub__", "series.Jet.__mul__",
         "series.Jet.__truediv__", "series.Jet.__rtruediv__",
         "series.Jet.__repr__",
-    ),
-    "the critical surface nu(eta, mu): benchmarks/workloads.py and the "
-    "tests build interior grids from it": (
-        "critical.nu_critical",
     ),
     "P_k at zeta, which the test against scipy's Airy functions checks; "
     "residue_W1 runs its zeta-free factor P_k_factor": (
@@ -51,7 +47,8 @@ EXTREME = (["certify", "--eta", "1e200"], ["sigma", "--eta", "1e308"],
            ["tau", "--eta", "1", "--nu=-1e200"],
            ["parametrix", "--eta=-676586.4282446072",
             "--mu=138843.51463656646", "--nu=-0.010108945468011433"],
-           ["certify", "--eta=-1e40", "--mu=0", "--nu=-1e100"])
+           ["certify", "--eta=-1e40", "--mu=0", "--nu=-1e100"],
+           ["parametrix", "--eta=-1e40", "--mu=0", "--nu=-1e100"])
 
 
 def defined_functions():

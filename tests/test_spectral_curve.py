@@ -12,7 +12,7 @@ from tau34.cli import certify_point
 from tau34.param_domain import Params
 from tau34.parametrix import global_M
 from tau34.spectral_curve import (AsymptoticsError, OnBranchPoint,
-                                  _cut_side_roots, branch_coeffs, build_curve,
+                                  branch_coeffs, build_curve,
                                   check_g_asymptotics, g_of_u, g_sheets_all,
                                   laurent_at_infinity, uniformize_all)
 from tau34.tau_expansion import leading_hamiltonians
@@ -161,7 +161,7 @@ class TestUniformize:
         # lower limits are the conjugates of the upper ones, as in
         # `parametrix.global_M_sides`
         x = curve_mu.alpha + 2.3
-        _, u2p, u3p = _cut_side_roots(curve_mu, np.array([x]))[:, 0]
+        _, u2p, u3p = uniformize_all(curve_mu, np.array([x + 0j]))[:, 0]
         u2m, u3m = u2p.conjugate(), u3p.conjugate()
         assert u2p == u3m
         assert u3p == u2m
@@ -371,7 +371,7 @@ class TestCutAntisymmetry:
         x = np.concatenate([
             np.linspace(curve_mu.alpha + 0.2, curve_mu.alpha + 8.0, 15),
             np.linspace(curve_mu.beta - 8.0, curve_mu.beta - 0.2, 15)])
-        g1, g2, g3 = g_of_u(curve_mu, _cut_side_roots(curve_mu, x))
+        g1, g2, g3 = g_of_u(curve_mu, uniformize_all(curve_mu, x + 0j))
         a, b = slice(None, 15), slice(15, None)
         assert np.all(np.abs((g3 - g2)[a].real)
                       < 1e-10 * (1 + np.abs(g3[a])))
