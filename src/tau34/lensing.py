@@ -10,9 +10,15 @@ Four contour families are certified for each curve:
 Contours bend smoothly from a departure angle inside the local sector at
 the anchor to their asymptotic direction over the first unit of arclength;
 the geometry is recorded on the spec so failures are attributable.
+
+The curve has real coefficients, so g_j(conj lam) = conj g_j(lam) off the
+real axis (Schwarz reflection), which the root kernel and `g_of_u` keep bit
+for bit up to the sign of a zero part.  A lower lens boundary, the mirror
+image of the upper one, thus has the upper one's signed values at the
+conjugate samples, and is not evaluated again.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,30 +113,48 @@ _ORIENT = {
 }
 
 
+def _geometry(spec, flip=1.0):
+    """The data that fix a contour's signed values, angles times `flip`."""
+    return (_ORIENT[spec.kind], spec.anchor, spec.samples, spec.r_min,
+            spec.r_max, spec.bend_length, flip * spec.direction,
+            flip * spec.local_angle)
+
+
 def verify_inequalities(curve, contours=None, samples=1000):
     """Sampled certification of the four sign conditions; returns reports.
 
-    The samples of all contours go through one `g_sheets_all` call, which
-    evaluates g on the two sheets each sample's contour compares."""
+    A contour with a real anchor mirrors an earlier evaluated one whose
+    `_geometry` is its own with negated angles: it takes that report with
+    the worst point conjugated (its samples are the conjugates; a real
+    sample is its own, as the kernel reads -0.0 as +0.0).  The samples of
+    the other contours go through one `g_sheets_all` call, and each
+    contour compares two of its three rows."""
     if contours is None:
         contours = standard_contours(curve, samples=samples)
-    points = [spec.points() for spec in contours]
+    points, mirror = {}, {}     # index -> samples; index -> mirrored index
+    for n, spec in enumerate(contours):
+        m = next((m for m in points
+                  if _geometry(spec) == _geometry(contours[m], -1.0)), None)
+        if m is None or np.imag(spec.anchor) != 0.0:
+            points[n] = spec.points()
+        else:
+            mirror[n] = m
     if not points:
         return []
-    pairs = np.repeat([_ORIENT[spec.kind][0] for spec in contours],
-                      [lam.shape[0] for lam in points], axis=0)
-    g = g_sheets_all(curve, np.concatenate(points), pairs.T)
-    reports = []
+    g = g_sheets_all(curve, np.concatenate(list(points.values())))
+    reports = [None] * len(contours)
     start = 0
-    for spec, lam in zip(contours, points):
-        sign = _ORIENT[spec.kind][1]
+    for n, lam in points.items():
+        (i, j), sign = _ORIENT[contours[n].kind]
         stop = start + lam.shape[0]
-        vals = sign * np.real(g[0, start:stop] - g[1, start:stop])
+        vals = sign * np.real(g[i - 1, start:stop] - g[j - 1, start:stop])
         start = stop
         k = int(np.argmin(vals))
-        reports.append(SignReport(contour=spec,
-                                  min_signed_value=float(vals[k]),
-                                  all_pass=bool(vals[k] > 0.0),
-                                  worst_point=complex(lam[k])))
+        reports[n] = SignReport(contour=contours[n],
+                                min_signed_value=float(vals[k]),
+                                all_pass=bool(vals[k] > 0.0),
+                                worst_point=complex(lam[k]))
+    for n, m in mirror.items():
+        reports[n] = replace(reports[m], contour=contours[n],
+                             worst_point=reports[m].worst_point.conjugate())
     return reports
-

@@ -23,6 +23,7 @@ M is evaluated on arrays: `global_M` and `global_M_sides` take the
 kernel, on and off the cuts; so do the jump residuals and normalization fit.
 """
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,10 +83,10 @@ class StokesData:
 
 
 def _exact(x):
-    if isinstance(x, Fraction):
+    """x as an exact rational: ints and Fractions as they are, a float as
+    its nearest ratio with denominator up to 1e12."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     f = Fraction(x).limit_denominator(10**12)
     if abs(float(f) - x) > 1e-12:
         raise ValueError(f"Stokes parameter {x!r} is not exactly representable")
@@ -93,7 +94,7 @@ def _exact(x):
 
 
 def identity3():
-    return [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+    return [[int(i == j) for j in range(3)] for i in range(3)]
 
 
 def _stokes_product(data):
@@ -109,8 +110,9 @@ def _stokes_product(data):
 
 
 def stokes_check(data):
-    """Exact product identity S_-7 ... S_-1 S_1 ... S_7 == Scal^T."""
-    target = [[Fraction(SCAL[j][i]) for j in range(3)] for i in range(3)]
+    """Exact product identity S_-7 ... S_-1 S_1 ... S_7 == Scal^T (in
+    integers for integer data)."""
+    target = [[SCAL[j][i] for j in range(3)] for i in range(3)]
     return _stokes_product(data) == target
 
 
@@ -165,14 +167,17 @@ def airy_series(kmax):
     return AiryCoeffs(s=tuple(s), t=tuple(t))
 
 
+@functools.cache
 def P_k_factor(k):
     """The zeta-free factor (1/2) [[1,-i],[-i,1]] diag(s_k,t_k)
-    [[(-1)^k, i], [(-1)^k i, 1]] of P_k."""
+    [[(-1)^k, i], [(-1)^k i, 1]] of P_k, computed once per k and read-only."""
     coeffs = airy_series(k)
     A = np.array([[1.0, -1.0j], [-1.0j, 1.0]])
     D = np.diag([float(coeffs.s[k]), float(coeffs.t[k])])
     B = np.array([[(-1.0) ** k, 1.0j], [(-1.0) ** k * 1.0j, 1.0]])
-    return 0.5 * (A @ D @ B)
+    out = 0.5 * (A @ D @ B)
+    out.setflags(write=False)
+    return out
 
 
 def P_k_matrix(k, zeta):

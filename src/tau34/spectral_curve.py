@@ -109,12 +109,10 @@ def g_of_u(curve, u):
     return np.polynomial.polynomial.polyval(u, curve.g_coeffs)
 
 
-def g_sheets_all(curve, lam, sheets):
-    """g_j over an array of lambda (vectorized, off-cut samples), one row per
-    entry of `sheets`: a sheet number, or an array of them shaped like lam."""
-    u = uniformize_all(curve, lam)
-    return g_of_u(curve, np.stack([np.choose(np.subtract(j, 1), u)
-                                   for j in sheets]))
+def g_sheets_all(curve, lam):
+    """g_1, g_2, g_3 over an array of lambda, shape (3,) + lam.shape: row
+    j - 1 is sheet j (upper limits on the cuts)."""
+    return g_of_u(curve, uniformize_all(curve, lam))
 
 
 def branch_coeffs(curve, case=None):

@@ -9,7 +9,7 @@ from tau34 import _kernels
 from tau34.critical import nu_critical
 from tau34.lensing import standard_contours
 from tau34.param_domain import Params
-from tau34.spectral_curve import build_curve
+from tau34.spectral_curve import build_curve, g_of_u
 
 from oracles import mp_context
 
@@ -280,3 +280,44 @@ def test_roots_do_not_depend_on_batch_size(rng):
                  for i in range(0, 2000, m)]
         assert np.array_equal(np.concatenate(parts, axis=1)[:, :2000],
                               whole[:, :2000])
+
+
+def assert_mirror(curve, lam):
+    """Schwarz reflection, which lensing's mirrored lower lenses rest on:
+    the roots and g at conj(lam) are the conjugates of those at lam, bit
+    for bit (+ 0.0 drops the sign of zero parts, which Re(g_i - g_j) never
+    sees), for Im lam != 0."""
+    lam = np.asarray(lam, dtype=np.complex128)
+    lam = lam[lam.imag != 0.0]
+    up = _kernels.sheet_roots(curve.a**2, curve.c, lam)
+    down = _kernels.sheet_roots(curve.a**2, curve.c, lam.conj())
+    assert (down + 0.0).tobytes() == (up.conj() + 0.0).tobytes()
+    g_up, g_down = g_of_u(curve, up), g_of_u(curve, down)
+    assert (g_down + 0.0).tobytes() == (g_up.conj() + 0.0).tobytes()
+
+
+@given(st.floats(-2.0, 3.0), st.floats(-1.0, 1.0), st.floats(-3.0, 3.0),
+       st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+       st.lists(st.complex_numbers(max_magnitude=1e12, allow_nan=False,
+                                   allow_infinity=False),
+                min_size=1, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_conjugate_mirror_property(eta, mu, nu, sigma, lam):
+    # any sigma: the identity needs real coefficients, not the branch
+    # equation
+    if abs(5.0 * eta - 3.0 * sigma) < 1e-6:
+        sigma += 0.5
+    assert_mirror(build_curve(Params(eta, mu, nu), sigma=sigma), lam)
+
+
+def test_conjugate_mirror_on_lensing_samples(d_grid20):
+    # the lens samples, rays 1e-6 from the branch points and |lam| out to
+    # 1e12
+    rays = np.exp(1j * np.linspace(-3.1, 3.1, 32))
+    far = np.outer(np.geomspace(1e3, 1e12, 10), rays).ravel()
+    for p in d_grid20:
+        cv = build_curve(p)
+        lam = np.concatenate([s.points() for s in standard_contours(cv)]
+                             + [cv.alpha + 1e-6 * rays,
+                                cv.beta + 1e-6 * rays, far])
+        assert_mirror(cv, lam)

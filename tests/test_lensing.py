@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -96,14 +97,35 @@ class TestBatchedContours:
         assert verify_inequalities(cv, contours=[]) == []
 
     def test_one_kernel_call(self, monkeypatch):
-        import tau34.spectral_curve as sc
-        calls = []
-        kernel = sc._kernels.sheet_roots
-
-        def counted(a2, c0, lam):
-            calls.append(np.size(lam))
-            return kernel(a2, c0, lam)
-
-        monkeypatch.setattr(sc._kernels, "sheet_roots", counted)
+        # the two lower lenses mirror the upper ones: four contours' samples
+        calls = _count_kernel_points(monkeypatch)
         verify_inequalities(build_curve(Params(1.0, 0.0, 0.0)), samples=100)
-        assert calls == [600]
+        assert calls == [400]
+
+    @pytest.mark.parametrize("field, value", [("samples", 301),
+                                              ("r_min", 2e-6)])
+    def test_lower_lens_unlike_its_partner_is_evaluated(self, monkeypatch,
+                                                        field, value):
+        cv = build_curve(Params(1.0, 0.05, 0.3))
+        contours = standard_contours(cv, samples=300)
+        assert contours[3].kind == "lens-lower-alpha"
+        contours[3] = dataclasses.replace(contours[3], **{field: value})
+        calls = _count_kernel_points(monkeypatch)
+        got = verify_inequalities(cv, contours=contours)
+        # lens-lower-beta is still a mirror; lens-lower-alpha is not
+        assert calls == [4 * 300 + contours[3].samples]
+        assert got == _per_contour_reports(cv, contours)
+
+
+def _count_kernel_points(monkeypatch):
+    """The number of samples of each root-kernel call, filled as they run."""
+    import tau34.spectral_curve as sc
+    calls = []
+    kernel = sc._kernels.sheet_roots
+
+    def counted(a2, c0, lam):
+        calls.append(np.size(lam))
+        return kernel(a2, c0, lam)
+
+    monkeypatch.setattr(sc._kernels, "sheet_roots", counted)
+    return calls

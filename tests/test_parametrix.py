@@ -95,6 +95,26 @@ class TestStokes:
         data = StokesData.from_seven(tuple(s7))
         assert _stokes_product(data) == _matmul_stokes_product(data)
 
+    def test_float_data_give_an_exact_product(self):
+        half = StokesData.from_seven((0.5,) + TRUNCATED_S7[1:])
+        prod = _stokes_product(half)
+        h = Fraction(1, 2)
+        assert prod == [[-h, 0, 1], [1, 0, 0], [3 * h / 2, 1, -h]]
+        assert isinstance(prod[0][0], Fraction)
+        assert prod == _matmul_stokes_product(half)
+        assert not stokes_check(half)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_data_raise(self, bad):
+        # a denominator up to 1e12 comes within 1e-12 of every finite
+        # double, so the floats that raise are the non-finite ones
+        with pytest.raises((ValueError, OverflowError)):
+            stokes_check(StokesData.from_seven((bad,) + (0,) * 6))
+
+    def test_integer_data_stay_integers(self):
+        prod = _stokes_product(StokesData.truncated())
+        assert all(type(x) is int for row in prod for x in row)
+
     def test_membership_truncated(self):
         assert plane_membership(TRUNCATED_S7) == {0, 1}
 
@@ -146,6 +166,13 @@ class TestAiry:
     def test_branch_guard(self):
         with pytest.raises(ValueError):
             P_k_matrix(1, -1.0)
+
+    def test_P_k_factor_cached_read_only(self):
+        core = px.P_k_factor(1)
+        assert px.P_k_factor(1) is core
+        with pytest.raises(ValueError):
+            core[0, 0] = 0.0
+        assert P_k_matrix(1, 1.0).flags.writeable
 
     def test_against_airy_function(self):
         # truncated series against an actual Airy evaluation at |zeta| = 30

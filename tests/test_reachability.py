@@ -91,8 +91,10 @@ def executed_code(runs, tmp_path):
         if event == "call":
             seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-    # the parser is cached per process: build it again inside the profile
+    # the parser and P_k_factor are cached per process: build them again
+    # inside the profile
     cli.build_parser.cache_clear()
+    cli.px.P_k_factor.cache_clear()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:

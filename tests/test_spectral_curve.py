@@ -174,12 +174,12 @@ class TestUniformize:
 class TestGSheet:
     def test_trivial_zero(self):
         cv = build_curve(Params(0.0, 0.0, 0.0), sigma=0.0)
-        g = g_sheets_all(cv, np.array([1e-3 + 1e-3j]), (1, 2, 3))
+        g = g_sheets_all(cv, np.array([1e-3 + 1e-3j]))
         assert np.max(np.abs(g)) < 1e-6
 
     def test_conjugation(self, curve_mu):
         g_up, g_down = g_sheets_all(curve_mu, np.array([1.7 + 0.9j,
-                                                        1.7 - 0.9j]), (1,))[0]
+                                                        1.7 - 0.9j]))[0]
         assert g_down == pytest.approx(g_up.conjugate(), rel=1e-13)
 
     def test_eta_term_exact_on_cube_curve(self):
@@ -188,7 +188,7 @@ class TestGSheet:
         # principal phase theta_1 off the negative axis
         cv = build_curve(Params(0.7, 0.0, 0.0), sigma=0.0)
         lam = np.array([3.0 + 1.0j, -2.0 + 0.4j, 9.0 - 2.0j])
-        got = g_sheets_all(cv, lam, (1,))[0]
+        got = g_sheets_all(cv, lam)[0]
         for z, g in zip(lam, got):
             want = complex(theta_phase_mp(z, 1, cv.params))
             assert abs(g - want) < 1e-12 * (1 + abs(want))
