@@ -152,14 +152,12 @@ SIGMA_COLUMNS = ["eta", "mu", "nu", "sigma", "margin", "in_D"]
 
 def cmd_sigma(args):
     points = point_grid(args)
-
-    def work(pt):
-        rep = pd.in_domain_D(pd.Params(*pt))
-        return {"eta": pt[0], "mu": pt[1], "nu": pt[2],
-                "sigma": rep.sigma, "margin": rep.margin,
-                "in_D": bool(rep.in_D)}
-
-    records = [work(pt) for pt in points]
+    # one array solve for the grid; .tolist() gives bools that print "true"
+    in_D, sigma, margin = (a.tolist()
+                           for a in pd.in_domain_D_grid(*zip(*points)))
+    records = [{"eta": eta, "mu": mu, "nu": nu, "sigma": s, "margin": m,
+                "in_D": d}
+               for (eta, mu, nu), s, m, d in zip(points, sigma, margin, in_D)]
     return RunReport("sigma", __version__, records, 0, 0.0), SIGMA_COLUMNS
 
 

@@ -44,9 +44,15 @@ class ContourSpec:
     r_max: float
     bend_length: float = 1.0  # arclength over which the angle rotates
 
-    def points(self):
+    def radial(self):
+        """(r, blend): the sample radii and how far each has turned."""
         r = np.geomspace(self.r_min, self.r_max, self.samples)
-        blend = np.clip(r / self.bend_length, 0.0, 1.0) ** 2
+        return r, np.clip(r / self.bend_length, 0.0, 1.0) ** 2
+
+    def points(self, radial=None):
+        """The samples; `radial` is `radial()` of a contour with the same
+        samples, r_min, r_max and bend_length, computed once for all."""
+        r, blend = self.radial() if radial is None else radial
         phi = self.local_angle + (self.direction - self.local_angle) * blend
         return self.anchor + r * np.exp(1j * phi)
 
@@ -128,15 +134,22 @@ def verify_inequalities(curve, contours=None, samples=1000):
     the worst point conjugated (its samples are the conjugates; a real
     sample is its own, as the kernel reads -0.0 as +0.0).  The samples of
     the other contours go through one `g_sheets_all` call, and each
-    contour compares two of its three rows."""
+    contour compares two of its three rows.  Contours with the same
+    samples, r_min, r_max and bend_length share one radial grid; a contour
+    whose r_min differs (1e-4 at a 5/2 anchor on the critical strata) gets
+    its own."""
     if contours is None:
         contours = standard_contours(curve, samples=samples)
     points, mirror = {}, {}     # index -> samples; index -> mirrored index
+    radial = {}                 # one radial grid per distinct geometry
     for n, spec in enumerate(contours):
         m = next((m for m in points
                   if _geometry(spec) == _geometry(contours[m], -1.0)), None)
         if m is None or np.imag(spec.anchor) != 0.0:
-            points[n] = spec.points()
+            key = (spec.samples, spec.r_min, spec.r_max, spec.bend_length)
+            if key not in radial:
+                radial[key] = spec.radial()
+            points[n] = spec.points(radial[key])
         else:
             mirror[n] = m
     if not points:

@@ -14,9 +14,30 @@ with another one.
 P is strictly convex above max(5*eta/3, 0), so this module finds the root
 by Newton's method started to the right of it, and produces derivative
 towers of the root by implicit differentiation.
+
+One rule solves one point and a grid.  The start, the Newton steps, their
+stopping and failure tests and the multiplicity test are written once, and
+run unchanged on Python floats (`solve_sigma`, `in_domain_D`) and on 1-d
+float arrays (`in_domain_D_grid`, one array solve for a whole grid).
+
+- Outcomes are flags, not exceptions, and they are kept per entry: an entry
+  that stops or fails keeps its iterate while the others go on, and no
+  operation mixes entries.  So a grid entry does not depend on the rest of
+  the batch.
+- The rule uses + - * / only, never **: numpy's array ** rounds unlike
+  libm's pow at about 5% of arguments, while the basic operations round
+  alike in both.  The few fractional powers (the start's, the square root
+  of the multiplicity floor) go through libm's pow on both paths (`_pow`).
+- `_where`, `_any` and `_pow` are the only code that tells a float from an
+  array.
+
+So a grid entry equals the one-point call bit for bit.
 """
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -34,19 +55,23 @@ NEWTON_TOL = 1e-13
 NEWTON_MAXIT = 100
 
 
-def _is_multiple(sigma, p, dP):
-    """Root-collision test at a converged root with P_s = dP.
+def _where(cond, a, b):
+    """a where cond holds, else b: np.where on arrays, a branch on floats."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
 
-    |P_s| < 1e-8 (1+s^2) is the documented hard floor, but at an exact double
-    root Newton stalls with |P_s| ~ sqrt(|P_ss| * residual) ~ 1e-6, so the
-    margin is also compared against that Newton-basin floor.
-    """
-    scale = 1.0 + sigma * sigma
-    if abs(dP) < BOUNDARY_MARGIN * scale:
-        return True
-    dP2 = _P_sigma_derivatives(sigma, p, 2)[1]
-    floor = math.sqrt(8.0 * abs(dP2) * NEWTON_TOL * (1.0 + abs(sigma) ** 3))
-    return abs(dP) < floor
+
+def _any(flags):
+    """Whether any flag holds (a float's flag is a bool)."""
+    return flags.any() if isinstance(flags, np.ndarray) else flags
+
+
+def _pow(x, e):
+    """x**e by libm's pow, elementwise on arrays."""
+    if isinstance(x, np.ndarray):
+        return np.array([v ** e for v in x.tolist()])
+    return x ** e
 
 
 @dataclass(frozen=True)
@@ -84,21 +109,58 @@ class SigmaJets:
     deta: float
 
 
-def eval_P(sigma, p):
-    """P(sigma; p) and dP/dsigma, exactly as written (pole term included)."""
+def _P(sigma, p):
+    """(P, P_s, on the pole) at sigma, on floats or arrays.
+
+    The pole 5 eta = 3 sigma is where (5 eta - 3 sigma)^2 is 0; there the
+    denominator becomes 1 (adding the flag: den + 1 rounds to 1 when den^2
+    is 0, and den + 0 is den), so nothing divides by zero, and the flag
+    holds when mu != 0 (at mu = 0 the pole term is 0 and P is exact).
+    """
     eta, mu = p.eta, p.mu
-    value = p.nu + 0.5 * sigma**3 - 1.25 * eta * sigma**2
-    d_dsigma = 1.5 * sigma**2 - 2.5 * eta * sigma
-    if mu != 0.0:
-        den = 5.0 * eta - 3.0 * sigma
-        value += 6.0 * mu**2 / den**2
-        d_dsigma += 36.0 * mu**2 / den**3
-    return value, d_dsigma
+    s2 = sigma * sigma
+    den = 5.0 * eta - 3.0 * sigma
+    pole = den * den == 0.0
+    den = den + pole
+    q = 6.0 * mu * mu / (den * den)
+    return (p.nu + 0.5 * s2 * sigma - 1.25 * eta * s2 + q,
+            1.5 * s2 - 2.5 * eta * sigma + 6.0 * q / den,
+            pole & (mu != 0.0))
+
+
+def eval_P(sigma, p):
+    """P(sigma; p) and dP/dsigma at one point, exactly as written (pole term
+    included); ZeroDivisionError on the pole."""
+    value, dP, pole = _P(sigma, p)
+    if pole:
+        raise ZeroDivisionError("sigma is on the pole 5 eta = 3 sigma")
+    return value, dP
+
+
+def _is_multiple(sigma, p, dP):
+    """Root-collision test at a converged root with P_s = dP.
+
+    |P_s| < 1e-8 (1+s^2) is the documented hard floor, but at an exact double
+    root Newton stalls with |P_s| ~ sqrt(|P_ss| * residual) ~ 1e-6, so the
+    margin is also compared against that Newton-basin floor.  P_ss's pole
+    term 324 mu^2/den^4 is written 54 q/den^2 with q = 6 mu^2/den^2, so it
+    divides by nothing smaller than P does.
+    """
+    eta, mu = p.eta, p.mu
+    den = 5.0 * eta - 3.0 * sigma
+    den2 = den * den
+    den2 = den2 + (den2 == 0.0)
+    dP2 = 3.0 * sigma - 2.5 * eta + 54.0 * (6.0 * mu * mu / den2) / den2
+    floor = _pow(8.0 * abs(dP2) * NEWTON_TOL
+                 * (1.0 + abs(sigma * sigma * sigma)), 0.5)
+    margin = abs(dP)
+    return (margin < BOUNDARY_MARGIN * (1.0 + sigma * sigma)) \
+        | (margin < floor)
 
 
 def _newton(sigma, p):
     """Newton iterations on P from the right of its largest root above
-    max(5 eta/3, 0); returns (sigma, value, dP) or None.
+    max(5 eta/3, 0); returns (sigma, value, dP, converged, overflowed).
 
     On s > max(5 eta/3, 0), P is strictly convex:
 
@@ -107,40 +169,59 @@ def _newton(sigma, p):
     So from a start where P >= 0 and P_s > 0 the iterates decrease
     monotonically onto the largest root; they stop once rounding makes the
     step negligible or negative.  Where there is no root they pass the
-    minimum of P, and P_s turns non-positive.
+    minimum of P, and P_s turns non-positive.  An iterate fails there, on
+    the pole, or where P or P_s is not finite (it overflowed), and a
+    stopped one converged if its residual is at most NEWTON_TOL (1 + |s|^3).
+    The same lines run on a float and on arrays, with + - * / only, so
+    both round alike.  Each flag is per entry on arrays, and an entry that
+    stops or fails keeps its iterate while the others go on, so no entry
+    depends on the rest of the batch, and the last evaluation is at every
+    entry's final iterate: it holds the residual of a stopped entry and
+    shows whether a failed one overflowed.
     """
-    try:
-        for _ in range(NEWTON_MAXIT):
-            value, dP = eval_P(sigma, p)
-            if dP < BOUNDARY_MARGIN * (1.0 + sigma**2):
-                return None
-            step = value / dP
-            sigma -= step
-            if step < 1e-16 * (1.0 + abs(sigma)):
-                break
-        else:
-            return None
-        value, dP = eval_P(sigma, p)
-    except ZeroDivisionError:       # landed on the pole 5 eta = 3 sigma
-        return None
-    if abs(value) > NEWTON_TOL * (1.0 + abs(sigma) ** 3):
-        return None
-    return sigma, value, dP
+    live = abs(sigma) < math.inf
+    done = False
+    for k in range(NEWTON_MAXIT + 1):
+        value, dP, pole = _P(sigma, p)
+        finite = (abs(value) < math.inf) & (abs(dP) < math.inf)
+        live = live & finite & (pole ^ True) \
+            & (dP >= BOUNDARY_MARGIN * (1.0 + sigma * sigma))
+        if k == NEWTON_MAXIT or not _any(live):
+            break
+        step = value / dP
+        sigma = _where(live, sigma - step, sigma)
+        stop = step < 1e-16 * (1.0 + abs(sigma))
+        done = done | (live & stop)
+        live = live & (stop ^ True)
+    converged = done & finite & (pole ^ True) \
+        & (abs(value) <= NEWTON_TOL * (1.0 + abs(sigma * sigma * sigma)))
+    return sigma, value, dP, converged, (finite | pole) ^ True
 
 
 def _start(p):
     """A point right of every root of P above max(5 eta/3, 0), where P >= 0
-    and P_s > 0.
+    and P_s > 0 (inf where that overflows).
 
     At s >= 5|eta|/2 + (2|nu|)^(1/3) the cubic part of P is >= 0, and at
     s >= 5|eta|/2 + (72 mu^2)^(1/5) the cubic part of P_s, at least s^2/2,
     exceeds the pole part, at most 36 mu^2/s^3; the pole part of P is >= 0.
     """
-    start = 1.5 * (2.5 * abs(p.eta) + (2.0 * abs(p.nu)) ** (1.0 / 3.0)
-                   + 72.0**0.2 * abs(p.mu) ** 0.4)
-    if not math.isfinite(start):
-        raise OverflowError("the Newton start overflows")
-    return start
+    return 1.5 * (2.5 * abs(p.eta) + _pow(2.0 * abs(p.nu), 1.0 / 3.0)
+                  + 72.0**0.2 * _pow(abs(p.mu), 0.4))
+
+
+def _solve(p):
+    """The rule on a point or a grid: (sigma, value, dP, root, in_D,
+    overflowed).
+
+    root holds where Newton converged above max(5 eta/3, 0), in_D where
+    that root is also simple, and overflowed where the start, or P or P_s at
+    the last iterate, is not finite.
+    """
+    sigma, value, dP, converged, over = _newton(_start(p), p)
+    root = converged & (sigma > 5.0 * p.eta / 3.0) & (sigma > 0.0)
+    in_D = root & (_is_multiple(sigma, p, dP) ^ True)
+    return sigma, value, dP, root, in_D, over
 
 
 def solve_sigma(p):
@@ -149,20 +230,19 @@ def solve_sigma(p):
 
     Raises BoundaryReached (a DomainError) when that root does not exist or
     is not simple, i.e. when p is outside D, and DomainError when P
-    overflows at the scale of p.
+    overflows at the scale of p.  `in_domain_D_grid` runs the same rule on
+    arrays, so this root is bit-equal to a grid's entry for p.
     """
-    try:
-        got = _newton(_start(p), p)
-        if got is None or not got[0] > max(5.0 * p.eta / 3.0, 0.0):
-            raise BoundaryReached(
-                "no real root above max(5 eta/3, 0): the point is on or "
-                "past the critical surface")
-        sigma, value, dP = got
-        if _is_multiple(sigma, p, dP):
-            raise BoundaryReached("the root is multiple: the point lies on "
-                                  "the critical surface")
-    except OverflowError:
-        raise DomainError("branch equation overflows at this scale") from None
+    sigma, value, dP, root, in_D, over = _solve(p)
+    if over:
+        raise DomainError("branch equation overflows at this scale")
+    if not root:
+        raise BoundaryReached(
+            "no real root above max(5 eta/3, 0): the point is on or "
+            "past the critical surface")
+    if not in_D:
+        raise BoundaryReached("the root is multiple: the point lies on "
+                              "the critical surface")
     return SigmaSolution(sigma=sigma, dP_dsigma=dP, residual=abs(value))
 
 
@@ -173,6 +253,20 @@ def in_domain_D(p):
     except DomainError as exc:
         return DomainReport(False, math.nan, 0.0, str(exc))
     return DomainReport(True, sol.sigma, abs(sol.dP_dsigma), "")
+
+
+def in_domain_D_grid(eta, mu, nu):
+    """`in_domain_D` on 1-d float arrays, in one array Newton solve: the
+    arrays (in_D, sigma, margin), each entry bit-equal to the one-point
+    report's field (sigma nan and margin 0 outside D)."""
+    eta, mu, nu = (np.asarray(a, dtype=float) for a in (eta, mu, nu))
+    if not all(np.isfinite(a).all() for a in (eta, mu, nu)):
+        raise DomainError("parameters must be finite")
+    p = SimpleNamespace(eta=eta, mu=mu, nu=nu)      # Params with array fields
+    with np.errstate(all="ignore"):
+        sigma, _, dP, _, in_D, _ = _solve(p)
+        return (in_D, np.where(in_D, sigma, math.nan),
+                np.where(in_D, abs(dP), 0.0))
 
 
 def _P_sigma_derivatives(sigma, p, n):

@@ -84,11 +84,12 @@ class StokesData:
 
 def _exact(x):
     """x as an exact rational: ints and Fractions as they are, a float as
-    its nearest ratio with denominator up to 1e12."""
+    the ratio with denominator up to 10^6 nearest to it, which must round
+    back to the float (0.1 is 1/10; pi and 0.1 + 1e-13 raise ValueError)."""
     if isinstance(x, (int, Fraction)):
         return x
-    f = Fraction(x).limit_denominator(10**12)
-    if abs(float(f) - x) > 1e-12:
+    f = Fraction(x).limit_denominator(10**6)
+    if float(f) != x:
         raise ValueError(f"Stokes parameter {x!r} is not exactly representable")
     return f
 

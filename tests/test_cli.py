@@ -154,6 +154,21 @@ class TestSigma:
         assert out.count("\n") == 13
         assert (0, out) == run(capsys, "sigma", f"--grid={spec}")[:2]
 
+    def test_grid_rows_are_the_point_reports(self, capsys):
+        # one array solve for the grid; each row is in_domain_D's report
+        spec = "-1:2:4,-0.5:0.5:3,-1:1:3"
+        code, out, _ = run(capsys, "sigma", f"--grid={spec}")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        axes = parse_grid(spec)
+        pts = [(e, m, n) for e in axes[0] for m in axes[1] for n in axes[2]]
+        assert len(rows) == len(pts)
+        for row, pt in zip(rows, pts):
+            rep = pd.in_domain_D(pd.Params(*pt))
+            cells = [f"{v:.17g}" for v in pt + (rep.sigma, rep.margin)]
+            assert row == ",".join(cells + [str(rep.in_D).lower()])
+        assert {r.rsplit(",", 1)[1] for r in rows} == {"true", "false"}
+
     def test_grid_without_value_exit_two(self, capsys):
         code, _, err = run(capsys, "sigma", "--grid")
         assert code == 2

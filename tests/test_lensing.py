@@ -92,6 +92,32 @@ class TestBatchedContours:
         assert got == _per_contour_reports(cv, contours)
         assert [r.contour for r in got] == contours
 
+    def test_contours_unlike_only_in_r_min(self):
+        cv = build_curve(Params(1.0, 0.05, 0.3))
+        ra = standard_contours(cv, samples=200)[0]
+        contours = [ra, dataclasses.replace(ra, r_min=1e-3)]
+        got = verify_inequalities(cv, contours=contours)
+        assert got == _per_contour_reports(cv, contours)
+        assert got[0].worst_point != got[1].worst_point
+
+    def test_one_radial_grid_per_geometry(self, monkeypatch):
+        pms, sigma = map_abc(ABCoords(1.0, 3.0, 1.5))
+        curves = [(build_curve(Params(1.0, 0.05, 0.3)), 1),
+                  # boundary-mu: r_min is 1e-4 at the 5/2 anchor beta only
+                  (build_curve(pms, sigma=sigma), 2)]
+        calls = []
+        radial = ContourSpec.radial
+
+        def counted(spec):
+            calls.append(spec.r_min)
+            return radial(spec)
+
+        monkeypatch.setattr(ContourSpec, "radial", counted)
+        for cv, grids in curves:
+            calls.clear()
+            verify_inequalities(cv, samples=100)
+            assert len(calls) == grids
+
     def test_empty_contour_list(self):
         cv = build_curve(Params(1.0, 0.0, 0.0))
         assert verify_inequalities(cv, contours=[]) == []

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tau34.critical import nu_critical
 from tau34.param_domain import (BOUNDARY_MARGIN, NEWTON_TOL, BoundaryReached,
                                 DomainError, Params, SigmaSolution,
-                                _is_multiple, eval_P, in_domain_D, sigma_jets,
-                                solve_sigma)
+                                _is_multiple, eval_P, in_domain_D,
+                                in_domain_D_grid, sigma_jets, solve_sigma)
 
 from oracles import ABCoords, map_abc, viete_roots
 
@@ -259,6 +261,125 @@ class TestAgainstCompanionMatrix:
                     abs(real.max() - rep.sigma) > 1e-9 * (1.0 + rep.sigma):
                 wrong.append((p, rep.sigma, real))
         assert wrong == []
+
+
+def _grid(pts):
+    """in_domain_D_grid on the eta, mu and nu columns of a point list."""
+    return in_domain_D_grid(*(np.array(col, dtype=float)
+                              for col in zip(*pts)))
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def _near_surface(eta, mu, k):
+    return (eta, mu, (1.0 - 10.0 ** -k) * nu_critical(eta, mu))
+
+
+_signed_huge = st.builds(lambda x, sign: sign * x,
+                         st.floats(1e100, 1e308), st.sampled_from([-1, 1]))
+# (0, 0, 0) starts on the pole 5 eta = 3 sigma; at (1.2, 0, 2) and on
+# gamma_+ the double root is there; 1e-300 is a mu whose square is 0
+POLE_POINTS = [(0.0, 0.0, 0.0), (1.2, 0.0, 2.0), (1.0, 0.0, 125.0 / 108.0),
+               (0.0, 1e-300, 0.0), (0.0, -1e-300, 1e-300)]
+ONE_RULE_POINTS = st.one_of(
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-1.0, 1.0),
+              st.floats(-5.0, 5.0)),
+    st.tuples(st.floats(-3.0, 3.0), st.just(0.0), st.floats(-5.0, 5.0)),
+    st.builds(_near_surface, st.floats(0.05, 3.0),
+              st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+              st.integers(1, 15)),
+    st.tuples(_signed_huge, st.floats(-1.0, 1.0), _signed_huge),
+    st.tuples(st.floats(-1.0, 1.0), _signed_huge, st.floats(-1.0, 1.0)),
+    st.sampled_from(POLE_POINTS))
+
+
+class TestOneRule:
+    """A point and a grid run one rule: every grid entry is bit-equal to
+    its point's one-point call, whatever else the grid holds."""
+
+    @staticmethod
+    def _check(pts):
+        in_D, sigma, margin = _grid(pts)
+        for k, pt in enumerate(pts):
+            rep = in_domain_D(Params(*pt))
+            got = (bool(in_D[k]), _bits(sigma[k]), _bits(margin[k]))
+            assert got == (rep.in_D, _bits(rep.sigma), _bits(rep.margin)), \
+                (pt, rep, sigma[k], margin[k])
+
+    @given(st.lists(ONE_RULE_POINTS, min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_grid_entry_is_the_point_call(self, pts):
+        self._check(pts)
+
+    def test_thin_grid(self):
+        self._check([(p.eta, p.mu, p.nu) for p in THIN_GRID])
+
+    def test_near_surface_grid(self):
+        # nu = (1 -+ 10^-k) nu_critical and nu_critical itself: near a
+        # double root the last bits of the start decide where Newton stops
+        # (numpy's ** in the grid's start moved 11 of these 7161 entries)
+        pts = []
+        for eta, mu in itertools.product(np.linspace(-1.0, 3.0, 21),
+                                         np.linspace(-1.0, 1.0, 11)):
+            nc = nu_critical(float(eta), float(mu))
+            pts += [(float(eta), float(mu), f * nc)
+                    for k in range(1, 16)
+                    for f in (1.0 - 10.0 ** -k, 1.0 + 10.0 ** -k)]
+            pts.append((float(eta), float(mu), nc))
+        self._check(pts)
+
+    def test_pole_and_overflow_points(self):
+        pts = POLE_POINTS + [(1e103, 0.0, 0.0), (1e308, 0.0, 0.0),
+                             (1e300, 0.5, -1e300), (1.0, 1e200, 0.0)]
+        self._check(pts)
+        in_D, sigma, margin = _grid(pts)
+        assert not in_D.any() and np.isnan(sigma).all() and \
+            (margin == 0.0).all()
+
+    @pytest.mark.parametrize("pts", [
+        # s*s*s overflows; mu = 0 points start on the pole
+        list(itertools.product(np.geomspace(1e250, 1e300, 3), (-1.0, 0, 1.0),
+                               (-1e300, 0.0, 1e300))),
+        list(itertools.product((-1.2, 0.0, 1.2), (-1.0, 0.0, 1.0),
+                               (-2.0, 0.0, 2.0)))])
+    def test_grid_warns_nothing(self, pts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _grid(pts)
+
+    def test_outputs_are_arrays_of_the_grid_shape(self):
+        in_D, sigma, margin = in_domain_D_grid([1.0, -1.0], [0.0, 0.0],
+                                               [0.0, 0.0])
+        assert in_D.dtype == bool and in_D.tolist() == [True, False]
+        assert sigma.tolist()[0] == 2.5 and math.isnan(sigma[1])
+        assert margin.tolist() == [3.125, 0.0]
+
+    def test_non_finite_input_raises(self):
+        with pytest.raises(DomainError):
+            in_domain_D_grid([1.0], [0.0], [math.nan])
+
+
+# the seed-0 axes of the benchmark's 2000-point sigma sweep
+SWEEP = [Params(*map(float, pt))
+         for pt in itertools.product(np.linspace(-3.0, 3.0, 20),
+                                     np.linspace(-1.0, 1.0, 10),
+                                     np.linspace(-5.0, 5.0, 10))]
+
+
+def test_sweep_roots_are_the_largest_companion_roots():
+    in_D, sigma, _ = _grid([(p.eta, p.mu, p.nu) for p in SWEEP])
+    assert in_D.sum() == 1240
+    wrong = []
+    for p, inside, s in zip(SWEEP, in_D, sigma):
+        z = _companion_roots(p)
+        real = z.real[(np.abs(z.imag) <= 1e-6 * (1.0 + np.abs(z)))
+                      & (z.real > max(5.0 * p.eta / 3.0, 0.0))]
+        if inside != bool(real.size) or inside and \
+                abs(real.max() - s) > 1e-12 * s:
+            wrong.append((p, s, real))
+    assert wrong == []
 
 
 class TestViete:

@@ -106,9 +106,21 @@ class TestStokes:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_data_raise(self, bad):
-        # a denominator up to 1e12 comes within 1e-12 of every finite
-        # double, so the floats that raise are the non-finite ones
+        # Fraction itself rejects these, before any denominator bound
         with pytest.raises((ValueError, OverflowError)):
+            stokes_check(StokesData.from_seven((bad,) + (0,) * 6))
+
+    @pytest.mark.parametrize("x, want", [(0.5, Fraction(1, 2)),
+                                         (0.1, Fraction(1, 10)),
+                                         (1 / 3, Fraction(1, 3))])
+    def test_float_that_rounds_back_is_its_small_ratio(self, x, want):
+        assert _exact(x) == want
+
+    @pytest.mark.parametrize("bad", [math.pi, 0.1 + 1e-13])
+    def test_float_without_a_small_ratio_raises(self, bad):
+        with pytest.raises(ValueError):
+            _exact(bad)
+        with pytest.raises(ValueError):
             stokes_check(StokesData.from_seven((bad,) + (0,) * 6))
 
     def test_integer_data_stay_integers(self):

@@ -37,7 +37,7 @@ TEST_ONLY = {
 }
 
 #: extreme inputs, which the CI workflow also runs through the console
-#: script: each must end without a traceback
+#: script: each must end without a traceback or a RuntimeWarning
 EXTREME = (["certify", "--eta", "1e200"], ["sigma", "--eta", "1e308"],
            ["tau", "--nu", "5"], ["critical", "--eta", "1e30"],
            ["critical", "--eta", "1e120"], ["pi", "--x-end", "3"],
@@ -48,7 +48,10 @@ EXTREME = (["certify", "--eta", "1e200"], ["sigma", "--eta", "1e308"],
            ["parametrix", "--eta=-676586.4282446072",
             "--mu=138843.51463656646", "--nu=-0.010108945468011433"],
            ["certify", "--eta=-1e40", "--mu=0", "--nu=-1e100"],
-           ["parametrix", "--eta=-1e40", "--mu=0", "--nu=-1e100"])
+           ["parametrix", "--eta=-1e40", "--mu=0", "--nu=-1e100"],
+           # the array solve: s*s*s overflows; mu = 0 points on the pole
+           ["sigma", "--grid=1e250:1e300:3:log,-1:1:3,-1e300:1e300:3"],
+           ["sigma", "--grid=-1.2:1.2:3,-1:1:3,-2:2:3"])
 
 
 def defined_functions():
