@@ -43,12 +43,11 @@ class RunReport:
 
 
 def fmt(value):
+    """A CSV cell; records hold only str, bool and Python float values."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
+    if isinstance(value, float):
+        return f"{value:.17g}"
     return str(value)
 
 
@@ -61,19 +60,7 @@ def emit(report, columns, fmt_name, out_path):
                                   for v in (rec.get(c, "") for c in columns)))
         text = "\n".join(lines) + "\n"
     else:
-        rows = []
-        for rec in report.records:
-            row = {}
-            for c in columns:
-                v = rec.get(c)
-                if isinstance(v, (np.integer,)):
-                    v = int(v)
-                elif isinstance(v, (np.floating,)):
-                    v = float(v)
-                elif isinstance(v, (np.bool_,)):
-                    v = bool(v)
-                row[c] = v
-            rows.append(row)
+        rows = [{c: rec.get(c) for c in columns} for rec in report.records]
         text = json.dumps(rows, indent=1, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w") as fh:

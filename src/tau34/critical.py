@@ -6,7 +6,8 @@ discriminant; its two distinguished curves are nu = (125/108) eta^3
 either stratum, with the coefficients drifting as below, the double-scaled
 branch-equation root follows the pole-free Painleve I branch:
 `tritronquee_constant` reads its leading coefficient off the branch
-equation, and `pi_integrate` solves Painleve I itself.
+equation, one scaled cubic solved in doubles, and `pi_integrate` solves
+Painleve I itself.
 
 Conventions: Painleve I is q'' = 6 q^2 + x, on the branch seeded by
 q ~ +sqrt(-x/6) as x -> -inf.  About the plus-stratum point eta0 > 0
@@ -145,14 +146,19 @@ def gauss_angle_max():
 # scaling constant
 # ---------------------------------------------------------------------------
 
-def scaling_constant_plus(eta0, n_vec):
-    """C of the plus-stratum drift along the direction n = (n_eta, n_nu)."""
+def _tangent_gap(eta0, n_vec):
+    """125 eta0^2 n_eta/36 - n_nu: positive iff n lies below the tangent."""
     n_eta, n_nu = n_vec
-    denom = 125.0 * eta0**2 * n_eta / 36.0 - n_nu
-    if denom <= 0.0:
+    gap = 125.0 * eta0**2 * n_eta / 36.0 - n_nu
+    if gap <= 0.0:
         raise InadmissibleDirection(
             "direction must lie below the tangent line of the stratum")
-    return (10.0 * eta0 / 3.0) ** 0.2 / denom
+    return gap
+
+
+def scaling_constant_plus(eta0, n_vec):
+    """C of the plus-stratum drift along the direction n = (n_eta, n_nu)."""
+    return (10.0 * eta0 / 3.0) ** 0.2 / _tangent_gap(eta0, n_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -356,36 +362,19 @@ def tauhat0_exponent(eta, nu, eta0):
             - Fraction(5, 12) * eta0 * nu**2)
 
 
-def _largest_real_root(mp, b, d):
-    """Largest real root of t^3/2 + b t^2 + d (b > 0 > d) at the precision
-    of `mp`.
-
-    The root is positive and simple, and on t > 0 the cubic is increasing
-    and convex.  At sqrt(-d/b) the cubic equals t^3/2 > 0, so Newton's
-    method from there decreases monotonically onto the root, as in
-    `param_domain.solve_sigma`.  The iteration runs with 80 extra bits, so
-    that rounding never holds the step above the 2^-(prec+4) relative
-    stopping bound.
-    """
-    s = mp.sqrt(-d / b)
-    tol = mp.ldexp(1, -(mp.prec + 4))
-    with mp.extraprec(80):
-        for _ in range(60):
-            ds = ((s / 2 + b) * s * s + d) / ((3 * s / 2 + 2 * b) * s)
-            s -= ds
-            if abs(ds) <= tol * abs(s):
-                break
-        else:
-            raise mp.NoConvergence("largest real root: no Newton convergence")
-    return +s
+def _cubic_root(delta):
+    """The positive root of T^3/2 + T^2 + delta, delta < 0, by Newton's
+    method from sqrt(-delta): the cubic is increasing and convex on T > 0,
+    so the iterates decrease until rounding stops them, an ulp or two off."""
+    t = math.sqrt(-delta)
+    while True:
+        nxt = t - ((0.5 * t + 1.0) * t * t + delta) / ((1.5 * t + 2.0) * t)
+        if not nxt < t:
+            return t
+        t = nxt
 
 
-#: one mpmath context per decimal precision, made on the first call that
-#: asks for it: cloning one took about 0.35 ms of a 0.8 ms call
-_MP_CONTEXTS = {}
-
-
-def tritronquee_constant(eta0, side, n_vec=(0.0, -1.0), x=-1.0, dps=40):
+def tritronquee_constant(eta0, side, n_vec=(0.0, -1.0), x=-1.0):
     """Leading coefficient of the double-scaled branch root against
     sqrt(-x); equals 6^(-1/2) on both strata.
 
@@ -394,54 +383,45 @@ def tritronquee_constant(eta0, side, n_vec=(0.0, -1.0), x=-1.0, dps=40):
     Minus stratum: c = lim (1/2) (5s/6)^(2/5) h^(-2/5)
                          sigma(eta0, 0, nu(h)) / sqrt(-x),  s = -eta0.
 
-    On mu = 0 the branch equation is the cubic s^3/2 - (5/4) eta s^2 + nu.
-    Shifted to its double point at the stratum (s = 5 eta_hat/3, resp.
-    s = 0) it reads t^3/2 + b t^2 + d with b > 0 > d, where d is the
-    O(h^(4/5)) drift written without the O(eta0^3) cancellation; its root
-    t is solved in mpmath.  A two-point Richardson step in h^(2/5), on
-    h = 1e-10 and 1e-10/32, removes the leading splitting correction.
-    Since b is O(|eta0|) and d is O(|eta0|^(1/5) h^(4/5)), both h are
-    scaled by min(1, |eta0|)^(7/2) (in mpmath: it underflows a double), so
-    that d/b^3, which sets the size of that correction, does not grow as
-    eta0 -> 0.
+    On mu = 0 the branch equation is s^3/2 - (5/4) eta s^2 + nu.  Shifted
+    to its double point (s = 5 eta_hat/3, resp. 0) it is t^3/2 + b t^2 + d,
+    b = (5/4)|eta_hat| > 0 > d, the drift d written without its O(eta0^3)
+    cancellation; t = b T makes it T^3/2 + T^2 + delta, delta = d/b^3, on
+    both strata (the minus one is the plus one with n = (0, -1)).
+    Richardson in h^(2/5) on h = 1e-10 and 1e-10/32 removes the leading
+    splitting correction, whose size delta sets.  As b is O(|eta0|) and d
+    is O(|eta0|^(1/5) h^(4/5)), both h are scaled by min(1, |eta0|)^(7/2):
+    delta does not grow as eta0 -> 0, and on the default direction and the
+    minus stratum neither delta nor the result depends on |eta0| < 1.
+    Above 1 the powers of max(1, |eta0|) are kept apart, so none
+    overflows; delta leaves the normal doubles near |eta0| = 1e106.
+    Doubles suffice: nothing cancels in the scaled cubic, the root's
+    relative condition number in delta is (T/2 + 1)/(3T/2 + 2) <= 1/2, and
+    the step (4 v(h/32) - v(h))/3 multiplies rounding by at most 5/3.
     """
-    mp = _MP_CONTEXTS.get(dps)
-    if mp is None:
-        import mpmath
-        mp = _MP_CONTEXTS[dps] = mpmath.mp.clone()
-        mp.dps = dps
     if x >= 0:
         raise ValueError("x must be negative (real splitting side)")
-    scale = min(mp.mpf(1), abs(mp.mpf(eta0))) ** mp.mpf("3.5")
+    # per stratum, e = |eta0|: k = C/e^(1/5) of the drift, a of the root;
+    # below, the drift C x h^0.8, eps = eta0 - eta_hat, b and d are taken
+    # over e^3, e, e and e^3
+    if side == "plus" and eta0 > 0:
+        e, (n_eta, n_nu) = eta0, n_vec
+        k = (10 / 3) ** 0.2 / _tangent_gap(e, n_vec)
+        a = 0.25 * (10 / 3) ** 0.4
+    elif side == "minus" and eta0 < 0:
+        e, n_eta, n_nu = -eta0, 0.0, -1.0
+        k, a = (5 / 6) ** 0.2, 0.5 * (5 / 6) ** 0.4
+    else:
+        raise DomainError(f"no {side!r} stratum through eta0 = {eta0!r}")
+    big = max(1.0, e) ** 1.4
     vals = []
     for h in (1e-10, 1e-10 / 32.0):
-        hm = mp.mpf(h) * scale
-        if side == "plus":
-            if eta0 <= 0:
-                raise DomainError("plus stratum needs eta0 > 0")
-            C = mp.mpf(scaling_constant_plus(eta0, n_vec))
-            e0 = mp.mpf(eta0)
-            drift = C * x * hm ** mp.mpf("0.8")
-            # eta_hat = eta0 - eps, nu_hat = nu0 - n_nu drift
-            eps = drift * n_vec[0]
-            d = (mp.mpf(125) / 108 * eps * (3 * e0**2 - 3 * e0 * eps + eps**2)
-                 - drift * n_vec[1])
-            delta = _largest_real_root(mp, mp.mpf("1.25") * (e0 - eps), d)
-            val = (mp.mpf(0.25) * (mp.mpf(10) * eta0 / 3) ** mp.mpf("0.4")
-                   * delta / hm ** mp.mpf("0.4") / mp.sqrt(-mp.mpf(x)))
-        elif side == "minus":
-            if eta0 >= 0:
-                raise DomainError("minus stratum needs eta0 < 0")
-            s = -eta0
-            c = (mp.mpf(5) * s / 6) ** mp.mpf("0.2")
-            nh = c * hm ** mp.mpf("0.8") * x
-            sig = _largest_real_root(mp, -mp.mpf("1.25") * eta0, nh)
-            val = (mp.mpf(0.5) * (mp.mpf(5) * s / 6) ** mp.mpf("0.4")
-                   * sig / hm ** mp.mpf("0.4") / mp.sqrt(-mp.mpf(x)))
-        else:
-            raise ValueError("side must be 'plus' or 'minus'")
-        vals.append(val)
-    # two-point Richardson in h^(2/5): the h ratio 32 gives the factor 4
-    t = mp.mpf(32) ** mp.mpf("0.4")
-    extrap = (t * vals[1] - vals[0]) / (t - 1)
-    return float(extrap)
+        g = k * x * h**0.8 / big / big
+        eps = g * n_eta * e * e
+        b = 1.25 * (1.0 - eps)
+        d = 125.0 / 108.0 * eps * (3.0 - 3.0 * eps + eps * eps) - g * n_nu
+        delta = d / (b * b * b)
+        if not delta <= -2.0**-1022:    # not a normal double
+            raise DomainError(f"eta0 = {eta0!r} underflows the scaled cubic")
+        vals.append(a * b * big * _cubic_root(delta) / h**0.4)
+    return (4.0 * vals[1] - vals[0]) / 3.0 / math.sqrt(-x)  # 32^(2/5) = 4

@@ -168,10 +168,14 @@ def _newton(sigma, p):
 
     So from a start where P >= 0 and P_s > 0 the iterates decrease
     monotonically onto the largest root; they stop once rounding makes the
-    step negligible or negative.  Where there is no root they pass the
-    minimum of P, and P_s turns non-positive.  An iterate fails there, on
-    the pole, or where P or P_s is not finite (it overflowed), and a
-    stopped one converged if its residual is at most NEWTON_TOL (1 + |s|^3).
+    step negligible or negative, or once the iterate no longer moves: the
+    rounding noise of P at the root over P_s can keep the step above the
+    negligible bound while s - step rounds back to s, and such an iterate
+    would repeat until the step limit, so stopping it moves no root.  Where
+    there is no root they pass the minimum of P, and P_s turns
+    non-positive.  An iterate fails there, on the pole, or where P or P_s
+    is not finite (it overflowed), and a stopped one converged if its
+    residual is at most NEWTON_TOL (1 + |s|^3).
     The same lines run on a float and on arrays, with + - * / only, so
     both round alike.  Each flag is per entry on arrays, and an entry that
     stops or fails keeps its iterate while the others go on, so no entry
@@ -189,8 +193,9 @@ def _newton(sigma, p):
         if k == NEWTON_MAXIT or not _any(live):
             break
         step = value / dP
-        sigma = _where(live, sigma - step, sigma)
-        stop = step < 1e-16 * (1.0 + abs(sigma))
+        nxt = sigma - step
+        stop = (step < 1e-16 * (1.0 + abs(nxt))) | (nxt == sigma)
+        sigma = _where(live, nxt, sigma)
         done = done | (live & stop)
         live = live & (stop ^ True)
     converged = done & finite & (pole ^ True) \

@@ -197,16 +197,18 @@ def P_k_matrix(k, zeta):
 def _phi_rows(u, sigma):
     """M_ij = phi_i(u_j) for sheet roots u (..., 3): shape (..., 3, 3).
 
-    sqrt cut on [-sqrt(s/2), sqrt(s/2)], branch with 1/sqrt(u^2 - s/2) =
-    u^-1 + O(u^-2).
+    sqrt cut on [-a, a], a = sqrt(s/2), branch with 1/sqrt(u^2 - a^2) =
+    u^-1 + O(u^-2).  An exactly real u is the root at lam + i0: its zero
+    imaginary part takes the sign of Im u there, which is that of
+    lam'(u) ~ u^2 - a^2, so -0 inside the cut and +0 outside.  Only the
+    middle root of a real lam in the gap (beta, alpha) lies inside; the
+    real roots on both cuts lie outside, where the sign does not matter.
     """
     a = math.sqrt(sigma / 2.0) if sigma > 0 else 0.0
     u = np.asarray(u, dtype=complex).copy()
-    # normalize -0.0 imaginary parts: off the cut the product below is
-    # continuous across the real axis, but only if both factors see the same
-    # zero sign; exactly-real points use the upper-limit branch.
-    real_mask = u.imag == 0.0
-    u[real_mask] = u[real_mask].real + 0.0j
+    real = u.imag == 0.0
+    # set .imag itself: a complex product such as 1j * -0.0 rounds to +0.0
+    u.imag[real] = np.copysign(0.0, np.abs(u.real[real]) - a)
     srt = np.sqrt(u - a) * np.sqrt(u + a)
     pref = 1j / math.sqrt(3.0)
     return np.stack([pref * (u * u - 0.75 * sigma) / srt,
@@ -225,7 +227,13 @@ def global_M(curve, lam):
     if at_branch.any():
         raise OnBranchPoint(
             f"lambda = {complex(flat[at_branch][0])} is at a branch point")
-    M = _phi_rows(uniformize_all(curve, flat).T, curve.sigma)
+    u = uniformize_all(curve, flat).T
+    # in the gap all three roots are real, and the kernel's imaginary parts
+    # are rounding noise of either sign, which would pick the branch
+    gap = (flat.imag == 0.0) & (flat.real > curve.beta) \
+        & (flat.real < curve.alpha)
+    u[gap] = u[gap].real
+    M = _phi_rows(u, curve.sigma)
     M[flat.imag < 0.0, :, 1] *= -1.0
     return M.reshape(lam.shape + (3, 3))
 

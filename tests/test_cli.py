@@ -333,14 +333,19 @@ class TestCertify:
         assert out.count("stokes-constraint,0,0,true") == 2
         assert len(calls) == 1
 
-    def test_certify_does_not_import_mpmath(self):
-        code = ("import sys; from tau34.cli import certify_point; "
-                "certify_point((1.0, 0.1, 0.2), 1.0); "
-                "print('mpmath' in sys.modules)")
+    def test_certify_does_not_import_mpmath(self, tmp_path):
+        # the degeneration constant is solved in doubles: only critical
+        # below eta0 = 1 (its normalizer gap) loads mpmath
+        code = ("import sys; from tau34.cli import main; "
+                "print([main([*argv, '--out', sys.argv[1]]) for argv in "
+                "(['certify'], ['sigma'], ['surface'], ['tau'], "
+                "['parametrix'], ['pi'], ['critical', '--eta', '1'])], "
+                "'mpmath' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", code], env=env,
+        out = subprocess.run([sys.executable, "-c", code,
+                              str(tmp_path / "out.csv")], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0] False"
 
     def test_import_does_not_load_mpmath(self):
         # every command pays the import: mpmath would add 23-77 ms to it
@@ -400,6 +405,27 @@ class TestOutputs:
                              "--out", str(f))
             assert code == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_records_hold_plain_scalars(self, tmp_path, monkeypatch):
+        # emit converts nothing: every cell is a str, a bool or a float
+        from test_reachability import EXTREME, command_runs
+        reports = []
+
+        def recorded(report, columns, fmt_name, out_path):
+            reports.append(report)
+            return emit(report, columns, fmt_name, out_path)
+
+        emit = cli.emit
+        monkeypatch.setattr(cli, "emit", recorded)
+        runs = (command_runs(tmp_path) + [list(a) for a in EXTREME]
+                + [["certify", "--grid=0.5:2:2,-0.05:0.05:2,-0.3:0.2:2"],
+                   ["critical", "--eta", "0.5"]])
+        codes = [main(argv + ["--out", str(tmp_path / f"{k}.out")])
+                 for k, argv in enumerate(runs)]
+        # a run that exits 2 emits nothing
+        assert len(reports) == sum(code != 2 for code in codes)
+        assert {type(v) for r in reports for rec in r.records
+                for v in rec.values()} == {str, bool, float}
 
     def test_surface_rows(self, capsys):
         code, out, _ = run(capsys, "surface", "--grid", "0.3:2:6,-0.5:0.5:3")

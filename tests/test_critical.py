@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,18 +14,24 @@ from tau34.critical import (GAUSS_ANGLE_ARGMAX, InadmissibleDirection,
                             scaling_constant_plus, surface_discriminant,
                             surface_param, tauhat0_exponent,
                             tritronquee_constant)
-from tau34.param_domain import Params
+from tau34.param_domain import DomainError, Params
 from tau34.tau_expansion import leading_hamiltonians, tau_leading
 
 INV_SQRT6 = 1.0 / math.sqrt(6.0)
 
 
-def _polyroots_largest_real_root(mp, b, d):
-    """Test-only oracle: the largest real root of s^3/2 + b s^2 + d by
-    mpmath's complex Durand-Kerner `polyroots`."""
-    roots = mp.polyroots([mp.mpf("0.5"), b, mp.mpf(0), d], maxsteps=200,
-                         extraprec=80)
-    return sorted(r.real for r in roots if abs(r.imag) < 1e-20)[-1]
+def _brackets_root(t, delta):
+    """Test-only oracle: whether the double t is one of the two doubles that
+    bracket the exact positive root of T^3/2 + T^2 + delta, in Fraction
+    arithmetic (the cubic increases on T > 0)."""
+    def f(v):
+        v = Fraction(v)
+        return v * v * v / 2 + v * v + Fraction(delta)
+
+    ft = f(t)
+    if ft > 0:
+        return f(math.nextafter(t, 0.0)) <= 0
+    return ft == 0 or f(math.nextafter(t, math.inf)) >= 0
 
 
 def _reference_pi_integrate(x_start, x_end, xs, tol=1e-11):
@@ -285,9 +292,45 @@ class TestDegenerationConstant:
     @pytest.mark.parametrize("eta0",
                              [*np.linspace(0.1, 3.0, 12), 300.0, 1000.0])
     def test_newton_root_matches_polyroots(self, eta0, monkeypatch):
-        fast = (tritronquee_constant(eta0, "plus"),
-                tritronquee_constant(-eta0, "minus"))
-        monkeypatch.setattr(cr, "_largest_real_root",
-                            _polyroots_largest_real_root)
-        assert fast == (tritronquee_constant(eta0, "plus"),
-                        tritronquee_constant(-eta0, "minus"))
+        # each root the strata solve is one of the two doubles that bracket
+        # the exact root of their scaled cubic
+        solves = []
+
+        def recorded(delta):
+            solves.append((delta, cubic_root(delta)))
+            return solves[-1][1]
+
+        cubic_root = cr._cubic_root
+        monkeypatch.setattr(cr, "_cubic_root", recorded)
+        tritronquee_constant(eta0, "plus")
+        tritronquee_constant(-eta0, "minus")
+        assert len(solves) == 4
+        for delta, t in solves:
+            assert _brackets_root(t, delta), (delta, t)
+
+    def test_cubic_root_brackets_exact_root(self):
+        deltas = -np.geomspace(1e-300, 1.0, 301)
+        for delta in deltas.tolist() + [-0.1, -0.5, -0.75, -2.0 ** -1022]:
+            t = cr._cubic_root(delta)
+            assert _brackets_root(t, delta), (delta, t)
+
+    # the h-pair scales with |eta0|^(7/2) below 1, so the scaled cubic and
+    # the constant do not depend on eta0 there
+    @pytest.mark.parametrize("eta0", [0.5, 1e-3, 1e-150, 1e-300])
+    def test_small_eta0_bit_equal_to_one(self, eta0):
+        assert tritronquee_constant(eta0, "plus") == \
+            tritronquee_constant(1.0, "plus")
+        assert tritronquee_constant(-eta0, "minus") == \
+            tritronquee_constant(-1.0, "minus")
+
+    @pytest.mark.parametrize("eta0", [1e107, -1e107])
+    def test_underflowing_scaled_cubic_raises(self, eta0):
+        side = "plus" if eta0 > 0 else "minus"
+        with pytest.raises(DomainError, match="underflows"):
+            tritronquee_constant(eta0, side)
+
+    @pytest.mark.parametrize("eta0,side", [(-1.0, "plus"), (1.0, "minus"),
+                                           (1.0, "middle")])
+    def test_wrong_stratum_raises(self, eta0, side):
+        with pytest.raises(DomainError):
+            tritronquee_constant(eta0, side)

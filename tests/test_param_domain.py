@@ -349,6 +349,20 @@ class TestOneRule:
             warnings.simplefilter("error")
             _grid(pts)
 
+    def test_root_where_the_iterate_stops_moving(self):
+        # the rounding noise of P at the root over P_s kept the step above
+        # 1e-16 (1 + |s|) while s - step rounded back to s, and after 100
+        # steps this point read "no real root"
+        pt = (-7.836093009380605e-05, 1.4854483656354422e-06,
+              -174178631690967.8)
+        assert pt[2] < nu_critical(pt[0], pt[1])
+        rep = in_domain_D(Params(*pt))
+        assert rep.in_D and rep.sigma == 70362.55853934445
+        in_D, sigma, _ = _grid([(1.0, 0.05, -0.3), pt])
+        assert in_D.tolist() == [True, True]
+        assert sigma[1] == rep.sigma
+        self._check([pt, (1.0, 0.05, -0.3)])
+
     def test_outputs_are_arrays_of_the_grid_shape(self):
         in_D, sigma, margin = in_domain_D_grid([1.0, -1.0], [0.0, 0.0],
                                                [0.0, 0.0])

@@ -244,6 +244,18 @@ class TestGlobalM:
             assert np.max(np.abs(exact[0] - Mp)) < 1e-6
             assert np.max(np.abs(exact[1] - Mm)) < 1e-6
 
+    def test_real_lambda_in_the_gap_is_the_upper_limit(self):
+        # in (beta, alpha) all three roots are real and the kernel's
+        # imaginary parts are rounding noise: 771 of these 800 points once
+        # flipped the sign of column 2 against x + 1e-13 i
+        for pt in PARAMETRIX_POINTS:
+            cv = build_curve(Params(*pt))
+            xs = np.linspace(cv.beta, cv.alpha, 202)[1:-1]
+            at, above = global_M(cv, xs), global_M(cv, xs + 1e-13j)
+            rel = (np.linalg.norm(at - above, axis=(1, 2))
+                   / np.linalg.norm(above, axis=(1, 2)))
+            assert rel.max() <= 1e-10, (pt, rel.max())
+
     def test_real_lambda_on_a_cut_is_the_upper_limit(self, d_grid20):
         # x + 0j and x - 0j alike: the kernel's upper-side roots
         for cv in [build_curve(p) for p in d_grid20]:
