@@ -6,6 +6,12 @@ min:max:count[:log], comma-separated), --format csv|json, --out PATH,
 --tol-scale F, --config PATH.  Outputs are deterministic and
 bit-identical across runs; numbers are written with 17 significant digits.
 
+A command returns a `RunReport` that holds its output by columns, in column
+order.  `sigma` and `pi` fill them from the arrays they compute; the
+commands that work point by point build row dicts and turn them into
+columns (`by_columns`).  `emit` formats CSV one column at a time, and in a
+column of floats each distinct value only once.
+
 Exit codes: 0 success, 1 certification failure, 2 usage/config error or a
 solver failure (a point outside the domain, a Painleve I solve that meets a
 pole, a residue series at beta that is not finite or not single-valued).
@@ -37,13 +43,22 @@ class ConfigError(ValueError):
 class RunReport:
     command: str
     version: str
-    records: list       # list of dicts, common keys
+    columns: dict       # column name -> list of cells, in column order
     n_failed: int
     wall_time: float
 
+    @property
+    def n_records(self):
+        return len(next(iter(self.columns.values()), ()))
+
+
+def by_columns(rows, names):
+    """The columns `names` of a list of row dicts, for `RunReport`."""
+    return {c: [row[c] for row in rows] for c in names}
+
 
 def fmt(value):
-    """A CSV cell; records hold only str, bool and Python float values."""
+    """A CSV cell; reports hold only str, bool and Python float values."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -51,16 +66,42 @@ def fmt(value):
     return str(value)
 
 
+def _cells(column):
+    """The CSV cells of one column, each as `fmt` writes it.
+
+    A column of floats formats each distinct value once, through a table
+    keyed by value: the axis columns of a grid repeat a few values many
+    times.  A column whose values are all distinct skips the table, which
+    would only add its lookups.  The table is not read at zero, since
+    -0.0 == 0.0 as keys and each prints its own sign; a column that mixes
+    types is formatted cell by cell, since True == 1.0 as keys too.
+    """
+    kinds = set(map(type, column))
+    if kinds == {bool}:
+        return ["true" if v else "false" for v in column]
+    if kinds != {float}:
+        return [fmt(v) for v in column]
+    distinct = set(column)
+    if len(distinct) == len(column):
+        return [f"{v:.17g}" for v in column]
+    table = {v: f"{v:.17g}" for v in distinct}
+    return [table[v] if v else f"{v:.17g}" for v in column]
+
+
 def emit(report, columns, fmt_name, out_path):
+    """Write the report's `columns`, in that order, as CSV or JSON.
+
+    CSV is formatted one column at a time (`_cells`: each distinct float of
+    a column once) and JSON from one dict per row, so both are the bytes of
+    a writer that formats cell by cell with `fmt`.
+    """
+    cols = [report.columns[c] for c in columns]
     if fmt_name == "csv":
         lines = [",".join(columns)]
-        for rec in report.records:
-            # a float cell is the common case: format it without fmt's tests
-            lines.append(",".join(f"{v:.17g}" if type(v) is float else fmt(v)
-                                  for v in (rec.get(c, "") for c in columns)))
+        lines += map(",".join, zip(*map(_cells, cols)))
         text = "\n".join(lines) + "\n"
     else:
-        rows = [{c: rec.get(c) for c in columns} for rec in report.records]
+        rows = [dict(zip(columns, cells)) for cells in zip(*cols)]
         text = json.dumps(rows, indent=1, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
@@ -94,7 +135,7 @@ def parse_grid(spec):
             vals = np.geomspace(lo, hi, count)
         else:
             vals = np.linspace(lo, hi, count)
-        axes.append([float(v) for v in vals])
+        axes.append(vals.tolist())
     return axes
 
 
@@ -115,19 +156,19 @@ def read_config(path):
     return out
 
 
+def grid_axes(args):
+    """The eta, mu and nu axes of --grid, or the single --eta/mu/nu."""
+    defaults = [[args.eta], [args.mu], [args.nu]]
+    if not args.grid:
+        return defaults
+    axes = parse_grid(args.grid)[:3]
+    return axes + defaults[len(axes):]
+
+
 def point_grid(args):
     """Points from --grid (eta, mu, nu axes) or the single --eta/mu/nu."""
-    if args.grid:
-        axes = parse_grid(args.grid)
-        defaults = [[args.eta], [args.mu], [args.nu]]
-        while len(axes) < 3:
-            axes.append(defaults[len(axes)])
-        pts = [(e, m, n) for e in axes[0] for m in axes[1] for n in axes[2]]
-    else:
-        pts = [(args.eta, args.mu, args.nu)]
-    if not pts:
-        raise ConfigError("empty parameter grid")
-    return pts
+    etas, mus, nus = grid_axes(args)
+    return [(e, m, n) for e in etas for m in mus for n in nus]
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +179,16 @@ SIGMA_COLUMNS = ["eta", "mu", "nu", "sigma", "margin", "in_D"]
 
 
 def cmd_sigma(args):
-    points = point_grid(args)
-    # one array solve for the grid; .tolist() gives bools that print "true"
-    in_D, sigma, margin = (a.tolist()
-                           for a in pd.in_domain_D_grid(*zip(*points)))
-    records = [{"eta": eta, "mu": mu, "nu": nu, "sigma": s, "margin": m,
-                "in_D": d}
-               for (eta, mu, nu), s, m, d in zip(points, sigma, margin, in_D)]
-    return RunReport("sigma", __version__, records, 0, 0.0), SIGMA_COLUMNS
+    etas, mus, nus = grid_axes(args)
+    # point_grid's order by repeat and tile, in one array solve; .tolist()
+    # gives floats and bools that print as the one-point report's fields
+    eta = np.repeat(etas, len(mus) * len(nus))
+    mu = np.tile(np.repeat(mus, len(nus)), len(etas))
+    nu = np.tile(nus, len(etas) * len(mus))
+    in_D, sigma, margin = pd.in_domain_D_grid(eta, mu, nu)
+    cells = (a.tolist() for a in (eta, mu, nu, sigma, margin, in_D))
+    return RunReport("sigma", __version__, dict(zip(SIGMA_COLUMNS, cells)),
+                     0, 0.0)
 
 
 CERTIFY_COLUMNS = ["eta", "mu", "nu", "check", "value", "tolerance", "passed"]
@@ -233,8 +276,8 @@ def cmd_certify(args):
     for pt in points:
         records.extend(certify_point(pt, args.tol_scale, stokes_ok))
     n_failed = sum(not r["passed"] for r in records)
-    return RunReport("certify", __version__, records, n_failed, 0.0), \
-        CERTIFY_COLUMNS
+    return RunReport("certify", __version__,
+                     by_columns(records, CERTIFY_COLUMNS), n_failed, 0.0)
 
 
 SURFACE_COLUMNS = ["sigma", "eta", "nu", "mu_plus", "mu_minus",
@@ -260,8 +303,8 @@ def cmd_surface(args):
                     "mu_plus": 0.0, "mu_minus": 0.0, "t1": float("nan"),
                     "t2_plus": 0.0, "t5": gm_eta,
                     "abs_discriminant": gm_angle})
-    return RunReport("surface", __version__, records, 0, 0.0), \
-        SURFACE_COLUMNS
+    return RunReport("surface", __version__,
+                     by_columns(records, SURFACE_COLUMNS), 0, 0.0)
 
 
 TAU_COLUMNS = ["eta", "mu", "nu", "sigma", "varpi0", "chi",
@@ -286,7 +329,8 @@ def cmd_tau(args):
                 "h2_0": h.h2_0, "h5_0": h.h5_0}
 
     records = [work(pt) for pt in points]
-    return RunReport("tau", __version__, records, 0, 0.0), TAU_COLUMNS
+    return RunReport("tau", __version__, by_columns(records, TAU_COLUMNS),
+                     0, 0.0)
 
 
 PARAMETRIX_COLUMNS = ["kind", "key", "value"]
@@ -320,8 +364,8 @@ def cmd_parametrix(args):
                             "value": float(np.real(rd.W1[i, j]))})
     records.append({"kind": "residue", "key": "pairing",
                     "value": float(np.real(-(rd.W1 + rd.W1_hat)[2, 0]))})
-    return RunReport("parametrix", __version__, records, 0, 0.0), \
-        PARAMETRIX_COLUMNS
+    return RunReport("parametrix", __version__,
+                     by_columns(records, PARAMETRIX_COLUMNS), 0, 0.0)
 
 
 CRITICAL_COLUMNS = ["eta0", "C_down", "tauhat0_exponent", "varpi0_boundary",
@@ -365,8 +409,8 @@ def cmd_critical(args):
         })
     if not records:
         raise ConfigError("no positive eta0 values in the grid")
-    return RunReport("critical", __version__, records, 0, 0.0), \
-        CRITICAL_COLUMNS
+    return RunReport("critical", __version__,
+                     by_columns(records, CRITICAL_COLUMNS), 0, 0.0)
 
 
 PI_COLUMNS = ["x", "q", "qprime", "H", "H_residual"]
@@ -380,18 +424,14 @@ def cmd_pi(args):
     if args.x_start > -20.0:
         raise ConfigError("x-start must be <= -20 (asymptotic seed region)")
     tr = cr.pi_integrate(args.x_start, args.x_end, n_points=args.x_count)
-    resid = tr.hamiltonian_residuals()
-    records = [{"x": float(tr.x[i]), "q": float(tr.q[i]),
-                "qprime": float(tr.qprime[i]), "H": float(tr.H[i]),
-                "H_residual": float(resid[i])}
-               for i in range(len(tr.x))]
-    # degeneration constants on both strata
-    for side, e0 in (("plus", 1.0), ("minus", -1.0)):
-        records.append({"x": float("nan"), "q": float("nan"),
-                        "qprime": float("nan"),
-                        "H": cr.tritronquee_constant(e0, side),
-                        "H_residual": float("nan")})
-    return RunReport("pi", __version__, records, 0, 0.0), PI_COLUMNS
+    arrays = (tr.x, tr.q, tr.qprime, tr.H, tr.hamiltonian_residuals())
+    columns = dict(zip(PI_COLUMNS, (a.tolist() for a in arrays)))
+    # two more rows: the degeneration constant of each stratum, under H
+    consts = [cr.tritronquee_constant(1.0, "plus"),
+              cr.tritronquee_constant(-1.0, "minus")]
+    for name, cells in columns.items():
+        cells += consts if name == "H" else [math.nan, math.nan]
+    return RunReport("pi", __version__, columns, 0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +525,14 @@ def main(argv=None):
     t0 = time.perf_counter()
     try:
         args = apply_config(args, argv)
-        report, columns = args.func(args)
+        report = args.func(args)
     except (ConfigError, ValueError, cr.PoleEncountered,
             px.ResidueError) as exc:
         print(f"tau34: error: {exc}", file=sys.stderr)
         return 2
     report.wall_time = time.perf_counter() - t0
-    emit(report, columns, args.format_, args.out)
-    print(f"tau34 {report.command}: {len(report.records)} records, "
+    emit(report, list(report.columns), args.format_, args.out)
+    print(f"tau34 {report.command}: {report.n_records} records, "
           f"{report.n_failed} failed, {report.wall_time:.2f}s",
           file=sys.stderr)
     return 1 if report.n_failed else 0

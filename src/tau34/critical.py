@@ -404,16 +404,21 @@ def tritronquee_constant(eta0, side, n_vec=(0.0, -1.0), x=-1.0):
     # per stratum, e = |eta0|: k = C/e^(1/5) of the drift, a of the root;
     # below, the drift C x h^0.8, eps = eta0 - eta_hat, b and d are taken
     # over e^3, e, e and e^3
-    if side == "plus" and eta0 > 0:
-        e, (n_eta, n_nu) = eta0, n_vec
-        k = (10 / 3) ** 0.2 / _tangent_gap(e, n_vec)
-        a = 0.25 * (10 / 3) ** 0.4
-    elif side == "minus" and eta0 < 0:
-        e, n_eta, n_nu = -eta0, 0.0, -1.0
-        k, a = (5 / 6) ** 0.2, 0.5 * (5 / 6) ** 0.4
-    else:
-        raise DomainError(f"no {side!r} stratum through eta0 = {eta0!r}")
-    big = max(1.0, e) ** 1.4
+    try:
+        if side == "plus" and eta0 > 0:
+            e, (n_eta, n_nu) = eta0, n_vec
+            k = (10 / 3) ** 0.2 / _tangent_gap(e, n_vec)
+            a = 0.25 * (10 / 3) ** 0.4
+        elif side == "minus" and eta0 < 0:
+            e, n_eta, n_nu = -eta0, 0.0, -1.0
+            k, a = (5 / 6) ** 0.2, 0.5 * (5 / 6) ** 0.4
+        else:
+            raise DomainError(f"no {side!r} stratum through eta0 = {eta0!r}")
+        big = max(1.0, e) ** 1.4
+    except OverflowError:
+        # eta0^2 in the tangent gap, or e^1.4, is past double range
+        raise DomainError(f"eta0 = {eta0!r} overflows the scaled cubic") \
+            from None
     vals = []
     for h in (1e-10, 1e-10 / 32.0):
         g = k * x * h**0.8 / big / big

@@ -28,8 +28,11 @@ float arrays (`in_domain_D_grid`, one array solve for a whole grid).
   libm's pow at about 5% of arguments, while the basic operations round
   alike in both.  The few fractional powers (the start's, the square root
   of the multiplicity floor) go through libm's pow on both paths (`_pow`).
-- `_where`, `_any` and `_pow` are the only code that tells a float from an
-  array.
+- The rule's constants are formed once per solve (`_Constants`), as 0-d
+  arrays on a grid, where numpy would convert a Python float at each
+  operation.
+- `_Constants`, `_where`, `_any` and `_pow` are the only code that tells a
+  float from an array.
 
 So a grid entry equals the one-point call bit for bit.
 """
@@ -56,15 +59,20 @@ NEWTON_MAXIT = 100
 
 
 def _where(cond, a, b):
-    """a where cond holds, else b: np.where on arrays, a branch on floats."""
+    """a where cond holds, else b: on arrays written into b, which the
+    caller must own (half the cost of np.where), on floats a branch."""
     if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
+        np.copyto(b, a, where=cond)
+        return b
     return a if cond else b
 
 
 def _any(flags):
-    """Whether any flag holds (a float's flag is a bool)."""
-    return flags.any() if isinstance(flags, np.ndarray) else flags
+    """Whether any flag holds (a float's flag is a bool); counting is a
+    third of the cost of ndarray.any on a grid."""
+    if isinstance(flags, np.ndarray):
+        return np.count_nonzero(flags) > 0
+    return flags
 
 
 def _pow(x, e):
@@ -109,29 +117,57 @@ class SigmaJets:
     deta: float
 
 
-def _P(sigma, p):
-    """(P, P_s, on the pole) at sigma, on floats or arrays.
+class _Constants:
+    """What `_P` and `_newton` read besides sigma, formed once per solve: nu,
+    the eta and mu products of P, and the rule's literal constants.
+
+    On a grid the literals are 0-d arrays: numpy converts a Python float
+    operand afresh at every ufunc call, which costs about as much as the
+    operation itself on a 100-entry grid, and takes a 0-d array as it is.
+    On a float they stay Python floats, set on the instance like the rest,
+    where the interpreter reads them faster than from the class.  The
+    operations, and so the roundings, are those of P written out left to
+    right: 5 eta - 3 s, (1.25 eta) s^2, (2.5 eta) s and ((6 mu) mu)/den^2
+    form the same products inline or hoisted.
+    """
+    LITERALS = (0.0, 1.0, 3.0, 0.5, 1.5, 6.0, math.inf, True, BOUNDARY_MARGIN,
+                1e-16)
+
+    def __init__(self, p):
+        eta, mu = p.eta, p.mu
+        self.nu, self.mu_nonzero = p.nu, mu != 0.0
+        self.eta5, self.eta5_4, self.eta5_2 = 5.0 * eta, 1.25 * eta, 2.5 * eta
+        self.mu6 = 6.0 * mu * mu
+        literals = self.LITERALS
+        if isinstance(eta, np.ndarray):
+            literals = map(np.asarray, literals)
+        (self.zero, self.one, self.three, self.half, self.three_halves,
+         self.six, self.inf, self.true, self.margin, self.tiny) = literals
+
+
+def _P(sigma, c):
+    """(P, P_s, on the pole) at sigma, on floats or arrays, for the
+    `_Constants` c of the point or grid.
 
     The pole 5 eta = 3 sigma is where (5 eta - 3 sigma)^2 is 0; there the
     denominator becomes 1 (adding the flag: den + 1 rounds to 1 when den^2
     is 0, and den + 0 is den), so nothing divides by zero, and the flag
     holds when mu != 0 (at mu = 0 the pole term is 0 and P is exact).
     """
-    eta, mu = p.eta, p.mu
     s2 = sigma * sigma
-    den = 5.0 * eta - 3.0 * sigma
-    pole = den * den == 0.0
+    den = c.eta5 - c.three * sigma
+    pole = den * den == c.zero
     den = den + pole
-    q = 6.0 * mu * mu / (den * den)
-    return (p.nu + 0.5 * s2 * sigma - 1.25 * eta * s2 + q,
-            1.5 * s2 - 2.5 * eta * sigma + 6.0 * q / den,
-            pole & (mu != 0.0))
+    q = c.mu6 / (den * den)
+    return (c.nu + c.half * s2 * sigma - c.eta5_4 * s2 + q,
+            c.three_halves * s2 - c.eta5_2 * sigma + c.six * q / den,
+            pole & c.mu_nonzero)
 
 
 def eval_P(sigma, p):
     """P(sigma; p) and dP/dsigma at one point, exactly as written (pole term
     included); ZeroDivisionError on the pole."""
-    value, dP, pole = _P(sigma, p)
+    value, dP, pole = _P(sigma, _Constants(p))
     if pole:
         raise ZeroDivisionError("sigma is on the pole 5 eta = 3 sigma")
     return value, dP
@@ -158,9 +194,10 @@ def _is_multiple(sigma, p, dP):
         | (margin < floor)
 
 
-def _newton(sigma, p):
-    """Newton iterations on P from the right of its largest root above
-    max(5 eta/3, 0); returns (sigma, value, dP, converged, overflowed).
+def _newton(sigma, c):
+    """Newton iterations on P, for the `_Constants` c of a point or grid,
+    from the right of its largest root above max(5 eta/3, 0); returns
+    (sigma, value, dP, converged, overflowed).
 
     On s > max(5 eta/3, 0), P is strictly convex:
 
@@ -181,26 +218,30 @@ def _newton(sigma, p):
     stops or fails keeps its iterate while the others go on, so no entry
     depends on the rest of the batch, and the last evaluation is at every
     entry's final iterate: it holds the residual of a stopped entry and
-    shows whether a failed one overflowed.
+    shows whether a failed one overflowed.  On a grid the iterate is updated
+    in place, so the start must be the caller's own array.
     """
-    live = abs(sigma) < math.inf
+    zero, one, true, margin, tiny = c.zero, c.one, c.true, c.margin, c.tiny
+    live = abs(sigma) < c.inf
     done = False
     for k in range(NEWTON_MAXIT + 1):
-        value, dP, pole = _P(sigma, p)
-        finite = (abs(value) < math.inf) & (abs(dP) < math.inf)
-        live = live & finite & (pole ^ True) \
-            & (dP >= BOUNDARY_MARGIN * (1.0 + sigma * sigma))
+        value, dP, pole = _P(sigma, c)
+        # 0 x is +-0 at a finite x and nan at inf or nan; on flags, a > b
+        # is a and not b
+        finite = zero * value * dP == zero
+        ok = finite > pole
+        live = live & ok & (dP >= margin * (one + sigma * sigma))
         if k == NEWTON_MAXIT or not _any(live):
             break
         step = value / dP
         nxt = sigma - step
-        stop = (step < 1e-16 * (1.0 + abs(nxt))) | (nxt == sigma)
+        stop = (step < tiny * (one + abs(nxt))) | (nxt == sigma)
         sigma = _where(live, nxt, sigma)
         done = done | (live & stop)
-        live = live & (stop ^ True)
-    converged = done & finite & (pole ^ True) \
-        & (abs(value) <= NEWTON_TOL * (1.0 + abs(sigma * sigma * sigma)))
-    return sigma, value, dP, converged, (finite | pole) ^ True
+        live = live > stop
+    converged = done & ok \
+        & (abs(value) <= NEWTON_TOL * (one + abs(sigma * sigma * sigma)))
+    return sigma, value, dP, converged, (finite | pole) ^ true
 
 
 def _start(p):
@@ -223,7 +264,7 @@ def _solve(p):
     that root is also simple, and overflowed where the start, or P or P_s at
     the last iterate, is not finite.
     """
-    sigma, value, dP, converged, over = _newton(_start(p), p)
+    sigma, value, dP, converged, over = _newton(_start(p), _Constants(p))
     root = converged & (sigma > 5.0 * p.eta / 3.0) & (sigma > 0.0)
     in_D = root & (_is_multiple(sigma, p, dP) ^ True)
     return sigma, value, dP, root, in_D, over

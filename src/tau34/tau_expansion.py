@@ -149,7 +149,7 @@ def expansion_jet(p, K=1, dps=None):
             du = _jet_derivative(u0)
             ddu = _jet_derivative(du)
             r1 = 0.375 * du * du + 0.75 * u0 * ddu - (5.0 / 12.0) * eta * ddu
-            r2 = -_jet_derivative(_jet_derivative(v0))
+            r2 = -0.5 * _jet_derivative(_jet_derivative(v0))
         else:
             u1, v1 = series_u[1], series_v[1]
             du0 = _jet_derivative(u0)
@@ -161,7 +161,7 @@ def expansion_jet(p, K=1, dps=None):
             r1 = (-1.5 * u0 * u1 * u1 - 1.5 * v1 * v1 + 1.25 * eta * u1 * u1
                   + 0.75 * du0 * du1 + 0.75 * (u0 * ddu1 + u1 * ddu0)
                   - (5.0 / 12.0) * eta * ddu1 - d4u0 / 12.0)
-            r2 = 1.5 * u1 * v1 - ddv1
+            r2 = 1.5 * u1 * v1 - 0.5 * ddv1
         det = m11 * m22 - m12 * m21
         series_u.append((r1 * m22 - m12 * r2) / det)
         series_v.append((m11 * r2 - r1 * m21) / det)
@@ -179,7 +179,7 @@ def string_residual(p, jet, hbar):
 
     The truncated series u = sum u_k hbar^(2k) (and v) is inserted into
 
-        r1 = (5/2) eta v - (3/2) u v + mu + hbar^2 v''
+        r1 = (5/2) eta v - (3/2) u v + mu + (hbar^2/2) v''
         r2 = u^3/2 + (3/2) v^2 - (5/4) eta u^2 + nu
              - hbar^2 ((3/8)(u')^2 + (3/4) u u'' - (5/12) eta u'')
              + hbar^4 u''''/12
@@ -204,7 +204,7 @@ def string_residual(p, jet, hbar):
     v = series_val(jet.v, 0)
     ddv = series_val(jet.v, 2)
     eta, mu, nu = p.eta, p.mu, p.nu
-    r1 = 2.5 * eta * v - 1.5 * u * v + mu + h2 * ddv
+    r1 = 2.5 * eta * v - 1.5 * u * v + mu + 0.5 * h2 * ddv
     r2 = (u**3 / 2 + 1.5 * v * v - 1.25 * eta * u * u + nu
           - h2 * (0.375 * du * du + 0.75 * u * ddu - (5.0 / 12.0) * eta * ddu)
           + h2 * h2 * d4u / 12.0)

@@ -16,6 +16,8 @@ None of these is run by a `tau34` command:
     series of `parametrix.residue_W1` replaced;
   * `h1_first_correction` (mu = 0) and `genus_one_pairing` (all of D), the
     closed-form oracles of the residue pairing;
+  * `genus_one_u1`, the order-hbar^2 coefficient u1 of the string equation
+    from the genus-one free energy, an oracle for `expansion_jet`;
   * `fd_dlogtau_consistency`, the tau-differential identities by central
     differences with six neighbour solves, which the complex step of
     `tau_expansion.dlogtau_consistency` replaced;
@@ -34,6 +36,7 @@ from tau34 import param_domain as pd
 from tau34 import spectral_curve as sc
 from tau34 import tau_expansion as te
 from tau34.parametrix import airy_series
+from tau34.series import Jet
 
 
 def mp_context(dps):
@@ -221,6 +224,22 @@ def genus_one_pairing(p, sigma=None):
     chi = te._tau(p.eta, p.mu, jets.sigma)[1]
     step = te._tau(p.eta, p.mu, complex(jets.sigma, h * jets.dnu[1]))[1]
     return -(step.imag / h) / (24.0 * chi)
+
+
+def genus_one_u1(p):
+    """u1 = (1/12) d^2/dnu^2 log chi, chi = `tau_leading(p).chi`: the
+    order-hbar^2 coefficient of u = -2 d^2 F/dnu^2 + ... with
+    F1 = -(1/24) log chi (Dijkgraaf & Witten 1990).
+
+    chi is carried as a nu-jet of order 2 over the root's nu-tower, so both
+    derivatives are exact up to rounding, and no string-equation line
+    enters: it checks `expansion_jet`'s u1 independently.
+    """
+    s = Jet.from_derivatives(pd.sigma_jets(p, depth=2).dnu)
+    den = 5.0 * p.eta - 3.0 * s
+    chi = s * den * den - 72.0 * p.mu**2 / (den * den)
+    c0, c1, c2 = (chi.derivative(k) for k in range(3))
+    return (c2 * c0 - c1 * c1) / (12.0 * c0 * c0)
 
 
 def node_loop_residue(curve, radius_factor=1e-2, n_nodes=256,

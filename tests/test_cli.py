@@ -424,8 +424,8 @@ class TestOutputs:
                  for k, argv in enumerate(runs)]
         # a run that exits 2 emits nothing
         assert len(reports) == sum(code != 2 for code in codes)
-        assert {type(v) for r in reports for rec in r.records
-                for v in rec.values()} == {str, bool, float}
+        assert {type(v) for r in reports for cells in r.columns.values()
+                for v in cells} == {str, bool, float}
 
     def test_surface_rows(self, capsys):
         code, out, _ = run(capsys, "surface", "--grid", "0.3:2:6,-0.5:0.5:3")
@@ -462,6 +462,60 @@ class TestOutputs:
         code, out, err = run(capsys, "pi", "--x-end", "3")
         assert code == 2 and out == ""
         assert err.startswith("tau34: error: no pole-free solution")
+
+
+def reference_text(columns, fmt_name):
+    """What emit writes for {name: cells}, formatted cell by cell."""
+    rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+    if fmt_name == "csv":
+        return "\n".join([",".join(columns)] + [
+            ",".join(cli.fmt(row[c]) for c in columns) for row in rows]) + "\n"
+    return json.dumps(rows, indent=1, sort_keys=True) + "\n"
+
+
+class TestEmit:
+    """emit formats by columns, each distinct float once, and writes the
+    bytes of the cell-by-cell reference."""
+
+    NAN, INF = float("nan"), float("inf")
+    COLUMNS = {
+        # -0.0 == 0.0 and True == 1.0 as dict keys
+        "floats": [0.0, -0.0, NAN, INF, -INF, 1.5, 1.5, -0.0, 0.1, NAN,
+                   0.0, 0.1],
+        "mixed": [True, 1.0, False, 0.0, "a|b", "5/72", True, -0.0, 1.0,
+                  "", False, 0.5],
+        "bools_and_floats": [True, 1.0, False, 0.0, -0.0, 1.0, True, 2.0,
+                             False, 1.0, 0.0, True],
+        "distinct": [0.1 * k for k in range(12)],
+        "flags": [k % 3 == 0 for k in range(12)],
+    }
+
+    @pytest.mark.parametrize("fmt_name", ["csv", "json"])
+    @pytest.mark.parametrize("columns", [
+        COLUMNS, {"floats": COLUMNS["floats"]}, {"mixed": COLUMNS["mixed"]},
+        {"a": [], "b": []}])
+    def test_matches_cell_by_cell(self, tmp_path, columns, fmt_name):
+        report = cli.RunReport("test", "0", columns, 0, 0.0)
+        out = tmp_path / "out"
+        cli.emit(report, list(columns), fmt_name, str(out))
+        assert out.read_text() == reference_text(columns, fmt_name)
+
+    def test_column_order_is_the_callers(self, tmp_path):
+        columns = {"a": [1.0, 2.0], "b": ["x", "y"]}
+        report = cli.RunReport("test", "0", columns, 0, 0.0)
+        out = tmp_path / "out"
+        cli.emit(report, ["b", "a"], "csv", str(out))
+        assert out.read_text() == "b,a\nx,1\ny,2\n"
+
+    def test_signed_zero_axis(self, capsys):
+        # linspace(-0.0, -1.0, 2) starts at 0 * -1.0 + -0.0 = -0.0, and
+        # linspace(-1, 1, 3) has 1 * 1.0 + -1.0 = +0.0 in the middle
+        code, out, _ = run(capsys, "sigma", "--grid=-0.0:-1:2,-1:1:3,-1:1:3")
+        assert code == 0
+        rows = [r.split(",") for r in out.splitlines()[1:]]
+        assert [r[0] for r in rows] == ["-0"] * 9 + ["-1"] * 9
+        assert [r[1] for r in rows] == (["-1"] * 3 + ["0"] * 3
+                                        + ["1"] * 3) * 2
 
 
 class TestConfigFile:
@@ -544,7 +598,7 @@ class TestOther:
         # the gap is relative: the two exponents are of size eta0^7
         assert float(row[4]) <= 1e-13
 
-    @pytest.mark.parametrize("eta", ["1e-40", "1e-50"])
+    @pytest.mark.parametrize("eta", ["1e-40", "1e-50", "1e-150"])
     def test_critical_small_eta_gap(self, capsys, eta):
         # both exponents are eta0^7 times the rational -203125/979776: the
         # columns print that value rounded to a double (-0.0 at 1e-50, where

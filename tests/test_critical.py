@@ -329,6 +329,13 @@ class TestDegenerationConstant:
         with pytest.raises(DomainError, match="underflows"):
             tritronquee_constant(eta0, side)
 
+    # eta0**2 in the tangent gap and e**1.4 raised OverflowError here
+    @pytest.mark.parametrize("eta0,side", [(1e155, "plus"), (1e300, "plus"),
+                                           (-1e300, "minus")])
+    def test_overflowing_eta0_raises_domain_error(self, eta0, side):
+        with pytest.raises(DomainError, match="overflows"):
+            tritronquee_constant(eta0, side)
+
     @pytest.mark.parametrize("eta0,side", [(-1.0, "plus"), (1.0, "minus"),
                                            (1.0, "middle")])
     def test_wrong_stratum_raises(self, eta0, side):

@@ -10,7 +10,7 @@ from tau34.tau_expansion import (dlogtau_consistency, expansion_jet,
                                  flow_compatibility, leading_hamiltonians,
                                  string_residual, tau_leading)
 
-from oracles import fd_dlogtau_consistency, h1_first_correction
+from oracles import fd_dlogtau_consistency, genus_one_u1, h1_first_correction
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +197,16 @@ class TestExpansion:
         r1, r2 = string_residual(p, expansion_jet(p, K=0), 0.0)
         assert r1 < 1e-15
         assert r2 < 1e-13
+
+    def test_u1_is_the_genus_one_term(self, rng):
+        # independent of the string equation's lines: with the hbar^2 v''
+        # term of the first line at twice its size, u1 was off by up to
+        # 0.16 relative at these points (8.6e-16 as it stands)
+        from conftest import random_domain_points
+        for p in random_domain_points(rng, 40):
+            got = expansion_jet(p, K=1).u[1][0]
+            want = genus_one_u1(p)
+            assert abs(got - want) <= 1e-13 * abs(want), p
 
     @pytest.mark.parametrize("K,slope,tol", [(0, 2.0, 0.02), (1, 4.0, 0.05),
                                              (2, 6.0, 0.05)])
