@@ -9,8 +9,9 @@ bit-identical across runs; numbers are written with 17 significant digits.
 A command returns a `RunReport` that holds its output by columns, in column
 order.  `sigma` and `pi` fill them from the arrays they compute; the
 commands that work point by point build row dicts and turn them into
-columns (`by_columns`).  `emit` formats CSV one column at a time, and in a
-column of floats each distinct value only once.
+columns (`by_columns`).  `emit` formats CSV one column at a time: a
+column of floats in bulk, and each distinct value only once where values
+repeat (at most half of a column's cells distinct).
 
 Exit codes: 0 success, 1 certification failure, 2 usage/config error or a
 solver failure (a point outside the domain, a Painleve I solve that meets a
@@ -18,6 +19,7 @@ pole, a residue series at beta that is not finite or not single-valued).
 """
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -69,21 +71,24 @@ def fmt(value):
 def _cells(column):
     """The CSV cells of one column, each as `fmt` writes it.
 
-    A column of floats formats each distinct value once, through a table
-    keyed by value: the axis columns of a grid repeat a few values many
-    times.  A column whose values are all distinct skips the table, which
-    would only add its lookups.  The table is not read at zero, since
-    -0.0 == 0.0 as keys and each prints its own sign; a column that mixes
-    types is formatted cell by cell, since True == 1.0 as keys too.
+    A column of str cells is its own cells.  A column of floats is
+    formatted in bulk, and one in which values repeat (at most half of its
+    cells distinct, as in the axis columns of a grid) formats each distinct
+    value once, through a table keyed by value.  The table is not read at
+    zero, since -0.0 == 0.0 as keys and each prints its own sign; a column
+    that mixes types is formatted cell by cell, since True == 1.0 as keys
+    too.
     """
     kinds = set(map(type, column))
+    if kinds == {str}:
+        return column
     if kinds == {bool}:
         return ["true" if v else "false" for v in column]
     if kinds != {float}:
         return [fmt(v) for v in column]
     distinct = set(column)
-    if len(distinct) == len(column):
-        return [f"{v:.17g}" for v in column]
+    if 2 * len(distinct) > len(column):
+        return list(map(float.__format__, column, itertools.repeat(".17g")))
     table = {v: f"{v:.17g}" for v in distinct}
     return [table[v] if v else f"{v:.17g}" for v in column]
 
@@ -91,9 +96,9 @@ def _cells(column):
 def emit(report, columns, fmt_name, out_path):
     """Write the report's `columns`, in that order, as CSV or JSON.
 
-    CSV is formatted one column at a time (`_cells`: each distinct float of
-    a column once) and JSON from one dict per row, so both are the bytes of
-    a writer that formats cell by cell with `fmt`.
+    CSV is formatted one column at a time (`_cells`) and JSON from one dict
+    per row, so both are the bytes of a writer that formats cell by cell
+    with `fmt`.
     """
     cols = [report.columns[c] for c in columns]
     if fmt_name == "csv":
@@ -135,6 +140,8 @@ def parse_grid(spec):
             vals = np.geomspace(lo, hi, count)
         else:
             vals = np.linspace(lo, hi, count)
+            # linspace starts at 0 * step + lo, which is +0.0 at lo = -0.0
+            vals[0] = lo
         axes.append(vals.tolist())
     return axes
 
@@ -424,7 +431,7 @@ def cmd_pi(args):
     if args.x_start > -20.0:
         raise ConfigError("x-start must be <= -20 (asymptotic seed region)")
     tr = cr.pi_integrate(args.x_start, args.x_end, n_points=args.x_count)
-    arrays = (tr.x, tr.q, tr.qprime, tr.H, tr.hamiltonian_residuals())
+    arrays = (tr.x, tr.q, tr.qprime, tr.H, tr.H_residual)
     columns = dict(zip(PI_COLUMNS, (a.tolist() for a in arrays)))
     # two more rows: the degeneration constant of each stratum, under H
     consts = [cr.tritronquee_constant(1.0, "plus"),

@@ -167,19 +167,15 @@ def scaling_constant_plus(eta0, n_vec):
 
 @dataclass(frozen=True)
 class PITrajectory:
+    """A Painleve I solve on the points `x`: q, q' = p, the Hamiltonian H
+    and H_residual = |dH/dx + q| = |p p' - (6 q^2 + x) q'|, with ' the exact
+    derivatives of the two Chebyshev series of `dense`."""
     x: np.ndarray
     q: np.ndarray
     qprime: np.ndarray
     H: np.ndarray
-    dense: object = None        # ChebInterpolant x -> (q, q'); nodes .x
-
-    def hamiltonian_residuals(self):
-        """|dH/dx + q| = |p p' - (6 q^2 + x) q'| at the points x, with q and
-        p = q' the two Chebyshev series of `dense` and ' their exact
-        derivatives."""
-        x, q, p = self.x, self.q, self.qprime
-        return np.abs(p * self.dense.qprime.deriv()(x)
-                      - (6.0 * q * q + x) * self.dense.q.deriv()(x))
+    H_residual: np.ndarray
+    dense: object = None        # ChebInterpolant; nodes .x
 
 
 def pi_hamiltonian(x, q, qprime):
@@ -202,14 +198,23 @@ def pi_seed(x):
 
 @dataclass(frozen=True)
 class ChebInterpolant:
-    """x -> (q(x), q'(x)) from Chebyshev series on the collocation nodes
-    `x`."""
+    """x -> (q, q', dq/dx, dq'/dx) from four Chebyshev series on the
+    collocation nodes `x`.
+
+    `coeffs` holds one series per column, zero-padded to one length, in
+    t = off + scl x, which maps [x[0], x[-1]] onto [-1, 1].  A call
+    evaluates the four columns by one Clenshaw recurrence (numpy's
+    `chebval`); the zero padding leaves each column's values those of its
+    own series, bit for bit.
+    """
     x: np.ndarray
-    q: object           # np.polynomial.Chebyshev on [x[0], x[-1]]
-    qprime: object      # the same for q'
+    coeffs: np.ndarray      # (length, 4)
+    off: float
+    scl: float
 
     def __call__(self, x):
-        return self.q(x), self.qprime(x)
+        from numpy.polynomial.chebyshev import chebval
+        return chebval(self.off + self.scl * x, self.coeffs)
 
 
 def _cheb_nodes(n, a, b):
@@ -217,16 +222,21 @@ def _cheb_nodes(n, a, b):
     the differentiation matrix on them (Trefethen, Spectral Methods in
     MATLAB, 2000, `cheb`)."""
     j = np.arange(n + 1)
-    i, k = j[:, None], j
     h = np.pi / (2 * n)
-    # s_i - s_k for s_j = -cos(2 j h), as a product of sines: no cancellation
-    ds = 2.0 * np.sin((i + k) * h) * np.sin((i - k) * h)
+    # s_i - s_k for s_j = -cos(2 j h), as a product of sines: no
+    # cancellation.  sin((i + k) h) and sin((i - k) h) are sin(m h) for the
+    # integers m from -n to 2n, each computed once.
+    sines = np.sin(np.arange(-n, 2 * n + 1) * h)
+    ds = 2.0 * sines[j[:, None] + (j + n)] * sines[j[:, None] - (j - n)]
+    ds.flat[::n + 2] = 1.0      # the diagonal, 0 + 1
     c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
-    D = np.outer(c, 1.0 / c) / (ds + np.eye(n + 1))
-    D -= np.diag(D.sum(axis=1))
+    D = np.outer(c, 1.0 / c)
+    D /= ds
+    D.flat[::n + 2] -= D.sum(axis=1)
+    D *= 2.0 / (b - a)
     x = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(2 * j * h)
     x[0], x[-1] = a, b
-    return x, D * (2.0 / (b - a))
+    return x, D
 
 
 def _cheb_coeffs(v):
@@ -238,6 +248,47 @@ def _cheb_coeffs(v):
     c[0] /= 2.0
     c[n] /= 2.0
     return c
+
+
+def _clenshaw(x, c):
+    """numpy's `chebval(x, c)` at a float x, for a list c of floats (three
+    or more), in numpy's order of operations."""
+    x2 = 2 * x
+    c0, c1 = c[-2], c[-1]
+    for ci in reversed(c[:-2]):
+        c0, c1 = ci - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
+def _chebder(c, scl):
+    """numpy's `chebder(c, 1, scl)` on a list c of floats (three or more),
+    in numpy's order of operations: a list of floats, one shorter."""
+    c = [v * scl for v in c]
+    n = len(c) - 1
+    der = [0.0] * n
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    der[1] = 4 * c[2]
+    der[0] = c[1]
+    return der
+
+
+def _chebint(c, lbnd, scl):
+    """numpy's `chebint(c, 1, [], lbnd, scl)` on a list c of floats (two or
+    more), in numpy's order of operations: a list of floats, one longer,
+    whose series is 0 at lbnd."""
+    c = [v * scl for v in c]
+    n = len(c)
+    tmp = [0.0] * (n + 1)
+    tmp[0] = c[0] * 0
+    tmp[1] = c[0]
+    tmp[2] = c[1] / 4
+    for j in range(2, n):
+        tmp[j + 1] = c[j] / (2 * (j + 1))
+        tmp[j - 1] -= c[j] / (2 * (j - 1))
+    tmp[0] += 0 - _clenshaw(lbnd, tmp)
+    return tmp
 
 
 #: node-count cap of `pi_integrate`: n doubles from 64 up to this
@@ -267,9 +318,14 @@ def pi_integrate(x_start, x_end, n_points=512, tol=1e-11, blowup=1e6):
     relative to the largest one, up to n = PI_MAX_N: [-24, -1] and
     [-30, -1] take n = 64, [-40, 0] takes 128 and [-1e4, -1] takes 1024.
 
-    `dense` holds the Chebyshev interpolant of q through the nodes
-    (`dense.x`), and q' as the integral of 6 q^2 + x from the Robin value
-    at x_end.  The trajectory is `dense` on `n_points` equispaced points.
+    `dense` holds four Chebyshev series on the nodes (`dense.x`): the
+    interpolant of q through them, q' as the integral of 6 q^2 + x from
+    the Robin value at x_end, and the exact derivatives of both.  One
+    evaluation of the four on `n_points` equispaced points gives the
+    trajectory: q, q', H and H_residual = |p p' - (6 q^2 + x) q'| (p = q'),
+    by how much dH/dx = -q fails.  The series are built by loops over
+    floats in numpy's own order of operations (`_chebder`, `_chebint`), so
+    every value is the one numpy's `Chebyshev` class gives.
 
     Raises PoleEncountered where no pole-free solution is found (a movable
     pole on or near the interval, as on [-24, 3]): Newton's method does
@@ -285,7 +341,7 @@ def pi_integrate(x_start, x_end, n_points=512, tol=1e-11, blowup=1e6):
         raise ValueError("x_start must be <= -20 (asymptotic seed region)")
     if x_end <= x_start:
         raise ValueError("x_end must exceed x_start")
-    from numpy.polynomial import Chebyshev
+    from numpy.polynomial import chebyshev, polyutils
 
     q_left, _ = pi_seed(x_start)
     if x_end < 0.0:
@@ -293,17 +349,20 @@ def pi_integrate(x_start, x_end, n_points=512, tol=1e-11, blowup=1e6):
     else:
         w_r, wp_r = 0.0, -1.0
     slope = -math.sqrt(12.0 * max(w_r, 0.05))
+    # t = off + scl x maps [x_start, x_end] onto the series' [-1, 1]
+    off, scl = polyutils.mapparms([x_start, x_end], [-1.0, 1.0])
 
-    n, interp = 64, None
+    n, c = 64, None
     while True:
         x, D = _cheb_nodes(n, x_start, x_end)
         D2 = D @ D
-        q = (np.sqrt(np.maximum(-x, 1e-3) / 6.0) if interp is None
-             else interp(x))
+        q = (np.sqrt(np.maximum(-x, 1e-3) / 6.0) if c is None
+             else chebyshev.chebval(off + scl * x, c))
         converged = False
         for _ in range(30):
             F = D2 @ q - 6.0 * q * q - x
-            J = D2 - np.diag(12.0 * q)
+            J = D2.copy()
+            J.flat[::n + 2] -= 12.0 * q
             F[0] = q[0] - q_left
             J[0] = 0.0
             J[0, 0] = 1.0
@@ -325,7 +384,6 @@ def pi_integrate(x_start, x_end, n_points=512, tol=1e-11, blowup=1e6):
                 f"no pole-free solution on [{x_start!r}, {x_end!r}]: Newton's "
                 f"method did not converge on {n + 1} Chebyshev nodes")
         c = _cheb_coeffs(q)
-        interp = Chebyshev(c, domain=[x_start, x_end])
         if np.max(np.abs(c[-(n // 8):])) <= tol * np.max(np.abs(c)):
             break
         if n >= PI_MAX_N:
@@ -337,14 +395,21 @@ def pi_integrate(x_start, x_end, n_points=512, tol=1e-11, blowup=1e6):
     # q' integrates q'' = 6 q^2 + x back from the Robin value at x_end:
     # differentiating the interpolant amplifies the rounding of q by ~n^2
     # (1e-12 at x_start on [-40, 0], against 1e-13 this way)
-    qpp = Chebyshev(_cheb_coeffs(6.0 * q * q + x), domain=[x_start, x_end])
-    qprime = qpp.integ(lbnd=x_end) + (wp_r + slope * (q[-1] - w_r))
-    dense = ChebInterpolant(x=x, q=interp, qprime=qprime)
+    qprime = _chebint(_cheb_coeffs(6.0 * q * q + x).tolist(),
+                      off + scl * x_end, 1.0 / scl)
+    qprime[0] += float(wp_r + slope * (q[-1] - w_r))
+    coeffs = np.zeros((n + 2, 4))
+    coeffs[:n + 1, 0] = c
+    coeffs[:, 1] = qprime
+    coeffs[:n, 2] = _chebder(c.tolist(), scl)
+    coeffs[:n + 1, 3] = _chebder(qprime, scl)
+    dense = ChebInterpolant(x=x, coeffs=coeffs, off=off, scl=scl)
     xs = np.linspace(x_start, x_end, n_points)
-    q, qp = dense(xs)
+    q, qp, dq, dqp = dense(xs)
     if np.max(np.abs(q)) > blowup:
         raise PoleEncountered("trajectory magnitude exceeded the pole guard")
     return PITrajectory(x=xs, q=q, qprime=qp, H=pi_hamiltonian(xs, q, qp),
+                        H_residual=np.abs(qp * dqp - (6.0 * q * q + xs) * dq),
                         dense=dense)
 
 

@@ -83,21 +83,32 @@ def build_curve(p, sigma=None):
     den = 5.0 * eta - 3.0 * sigma
     c = -3.0 * mu / den if mu != 0.0 else 0.0
     a = math.sqrt(sigma / 2.0) if sigma > 0 else 0.0
-    lam = np.array([c, -1.5 * sigma, 0.0, 1.0])
-    Y = np.array([0.5 * sigma**2 - (5.0 / 3.0) * eta * sigma,
-                  (4.0 / 3.0) * c,
-                  (5.0 / 3.0) * eta - 2.0 * sigma,
-                  0.0,
-                  1.0])
-    # numpy imports np.polynomial on first use, so the commands that build
-    # no curve (sigma, tau) never load it
-    npoly = np.polynomial.polynomial
-    g = npoly.polyint(npoly.polymul(Y, npoly.polyder(lam)))
-    g[0] = -2.0 * c * a**4
-    alpha = float(npoly.polyval(-a, lam).real)
-    beta = float(npoly.polyval(a, lam).real)
-    return SpectralCurve(params=p, sigma=sigma, a=a, lam_coeffs=lam,
-                         Y_coeffs=Y, g_coeffs=g, alpha=alpha, beta=beta)
+    lam = [c, -1.5 * sigma, 0.0, 1.0]
+    Y = [0.5 * sigma**2 - (5.0 / 3.0) * eta * sigma,
+         (4.0 / 3.0) * c,
+         (5.0 / 3.0) * eta - 2.0 * sigma,
+         0.0,
+         1.0]
+    # g = int Y lam' by the steps of numpy's polyder, polymul (a
+    # convolution) and polyint, its constant set apart, and alpha and beta
+    # by those of polyval, on floats, so the values are numpy's.  Building
+    # a curve thus does not load np.polynomial, which numpy imports on
+    # first use: certify loads it in g_of_u, parametrix not at all.
+    prod = np.convolve(Y, [j * lam[j] for j in (1, 2, 3)]).tolist()
+    g = [-2.0 * c * a**4, prod[0]] + [prod[j] / (j + 1)
+                                      for j in range(1, len(prod))]
+    return SpectralCurve(params=p, sigma=sigma, a=a, lam_coeffs=np.array(lam),
+                         Y_coeffs=np.array(Y), g_coeffs=np.array(g),
+                         alpha=_polyval(-a, lam), beta=_polyval(a, lam))
+
+
+def _polyval(x, c):
+    """numpy's `polyval(x, c)` at a float x, for a list c of floats, in
+    numpy's order of operations."""
+    v = c[-1] + x * 0
+    for ci in reversed(c[:-1]):
+        v = ci + v * x
+    return v
 
 
 def uniformize_all(curve, lam):

@@ -24,7 +24,10 @@ None of these is run by a `tau34` command:
   * `viete_roots` and `map_abc`, the (a, b, c) coordinates of the
     uniformized curve: they build boundary-mu curves and admissible
     samples whose sigma = 2 a^2 is known without solving the branch
-    equation.
+    equation;
+  * `cheb_nodes_product`, the Chebyshev nodes and differentiation matrix
+    with one sine per factor of each matrix entry, which
+    `critical._cheb_nodes` computes from 3n + 1 sines.
 """
 import cmath
 import math
@@ -376,3 +379,20 @@ def map_abc(q):
     mu = c * (b - 2.0 * a * a)
     nu = 8.0 * a**6 - 3.0 * a**4 * b - (2.0 / 3.0) * c * c
     return pd.Params(eta, mu, nu), 2.0 * a * a
+
+
+def cheb_nodes_product(n, a, b):
+    """The n + 1 Chebyshev-Gauss-Lobatto points on [a, b] and their
+    differentiation matrix (Trefethen, Spectral Methods in MATLAB, 2000,
+    `cheb`), with s_i - s_k = 2 sin((i + k) h) sin((i - k) h) taken from two
+    sines per entry, h = pi/(2n)."""
+    j = np.arange(n + 1)
+    i, k = j[:, None], j
+    h = np.pi / (2 * n)
+    ds = 2.0 * np.sin((i + k) * h) * np.sin((i - k) * h)
+    c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
+    D = np.outer(c, 1.0 / c) / (ds + np.eye(n + 1))
+    D -= np.diag(D.sum(axis=1))
+    x = 0.5 * (a + b) - 0.5 * (b - a) * np.cos(2 * j * h)
+    x[0], x[-1] = a, b
+    return x, D * (2.0 / (b - a))

@@ -474,8 +474,9 @@ def reference_text(columns, fmt_name):
 
 
 class TestEmit:
-    """emit formats by columns, each distinct float once, and writes the
-    bytes of the cell-by-cell reference."""
+    """emit formats by columns, floats in bulk or, where values repeat, each
+    distinct float once, and writes the bytes of the cell-by-cell
+    reference."""
 
     NAN, INF = float("nan"), float("inf")
     COLUMNS = {
@@ -488,12 +489,18 @@ class TestEmit:
                              False, 1.0, 0.0, True],
         "distinct": [0.1 * k for k in range(12)],
         "flags": [k % 3 == 0 for k in range(12)],
+        # as pi writes its padding rows: one nan object, so a set of the
+        # column is one shorter than the column
+        "nan_padded": [0.1 * k - 0.5 for k in range(10)] + [math.nan] * 2,
+        "strings": ["a", "", "a|b", "5/72", "a", "1", "true", "-0", "nan",
+                    "x y", "a", "0"],
     }
 
     @pytest.mark.parametrize("fmt_name", ["csv", "json"])
     @pytest.mark.parametrize("columns", [
         COLUMNS, {"floats": COLUMNS["floats"]}, {"mixed": COLUMNS["mixed"]},
-        {"a": [], "b": []}])
+        {"a": [], "b": []}, {"nan_padded": COLUMNS["nan_padded"]},
+        {"strings": COLUMNS["strings"]}])
     def test_matches_cell_by_cell(self, tmp_path, columns, fmt_name):
         report = cli.RunReport("test", "0", columns, 0, 0.0)
         out = tmp_path / "out"
@@ -508,14 +515,20 @@ class TestEmit:
         assert out.read_text() == "b,a\nx,1\ny,2\n"
 
     def test_signed_zero_axis(self, capsys):
-        # linspace(-0.0, -1.0, 2) starts at 0 * -1.0 + -0.0 = -0.0, and
+        # an axis starts at its lower endpoint, a -0.0 one too, where
+        # linspace gives 0 * step + -0.0 = +0.0 unless the axis descends;
         # linspace(-1, 1, 3) has 1 * 1.0 + -1.0 = +0.0 in the middle
-        code, out, _ = run(capsys, "sigma", "--grid=-0.0:-1:2,-1:1:3,-1:1:3")
-        assert code == 0
-        rows = [r.split(",") for r in out.splitlines()[1:]]
-        assert [r[0] for r in rows] == ["-0"] * 9 + ["-1"] * 9
-        assert [r[1] for r in rows] == (["-1"] * 3 + ["0"] * 3
-                                        + ["1"] * 3) * 2
+        for grid, first in (
+                ("-0.0:-1:2,-1:1:3,-1:1:3", ["-0"] * 9 + ["-1"] * 9),
+                ("-0.0:0.0:2,-1:1:3,-1:1:3", ["-0"] * 9 + ["0"] * 9),
+                ("-0.0:-0.0:1", ["-0"])):
+            code, out, _ = run(capsys, "sigma", f"--grid={grid}")
+            assert code == 0
+            rows = [r.split(",") for r in out.splitlines()[1:]]
+            assert [r[0] for r in rows] == first
+            if len(rows) > 1:
+                assert [r[1] for r in rows] == (["-1"] * 3 + ["0"] * 3
+                                                + ["1"] * 3) * 2
 
 
 class TestConfigFile:

@@ -17,6 +17,8 @@ from tau34.critical import (GAUSS_ANGLE_ARGMAX, InadmissibleDirection,
 from tau34.param_domain import DomainError, Params
 from tau34.tau_expansion import leading_hamiltonians, tau_leading
 
+from oracles import cheb_nodes_product
+
 INV_SQRT6 = 1.0 / math.sqrt(6.0)
 
 
@@ -200,7 +202,7 @@ class TestPainleve:
 
     def test_hamiltonian_identity(self):
         tr = pi_integrate(-24.0, -1.0, n_points=201)
-        resid = tr.hamiltonian_residuals()
+        resid = tr.H_residual
         assert float(np.max(resid)) < 1e-8
 
     def test_two_seed_consistency(self):
@@ -247,7 +249,7 @@ class TestPainleve:
         short = pi_integrate(-100.0, -1.0)
         for x in (-50.0, -10.0, -2.0):
             assert abs(tr.dense(x)[0] - short.dense(x)[0]) < 1e-10
-        resid = tr.hamiltonian_residuals()
+        resid = tr.H_residual
         assert np.max(resid / (1.0 + np.abs(tr.H))) < 1e-10
         # |H| reaches 2.7e5: a step-free residual stays at rounding level
         assert np.max(resid) <= 1e-12
@@ -257,6 +259,58 @@ class TestPainleve:
         tr = pi_integrate(-24.0, -4.0, n_points=11)
         assert tr.H[0] == pytest.approx(pi_hamiltonian(-24.0, q0, qp0),
                                         rel=1e-8)
+
+
+def bits(a):
+    """The bytes of a float array: equal when every value is, zero signs
+    and nan included."""
+    return np.asarray(a, dtype=float).tobytes()
+
+
+#: intervals of `pi_integrate`: the three workload ranges and two long ones
+PI_INTERVALS = ((-24.0, -1.0), (-30.0, -1.0), (-40.0, 0.0), (-1000.0, -1.0),
+                (-1e4, -1.0))
+
+
+class TestChebyshevSteps:
+    """The float loops of `pi_integrate` against numpy.polynomial, bit for
+    bit, with the arguments `pi_integrate` passes."""
+
+    @pytest.mark.parametrize("length", [65, 66, 129, 130, 257, 1025])
+    @pytest.mark.parametrize("x_start, x_end", PI_INTERVALS)
+    def test_derivative_and_integral(self, length, x_start, x_end):
+        from numpy.polynomial import chebyshev, polyutils
+
+        off, scl = polyutils.mapparms([x_start, x_end], [-1.0, 1.0])
+        lbnd = off + scl * x_end
+        rng = np.random.default_rng(length)
+        c = rng.standard_normal(length) * np.exp(-0.1 * np.arange(length))
+        assert bits(cr._chebder(c.tolist(), scl)) \
+            == bits(chebyshev.chebder(c, 1, scl))
+        assert bits(cr._chebint(c.tolist(), lbnd, 1.0 / scl)) \
+            == bits(chebyshev.chebint(c, 1, [], lbnd, 1.0 / scl))
+        assert cr._clenshaw(lbnd, c.tolist()) == chebyshev.chebval(lbnd, c)
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 128, 1024])
+    def test_nodes_match_the_product_formula(self, n):
+        for a, b in ((-24.0, -1.0), (-40.0, 0.0)):
+            x, D = cr._cheb_nodes(n, a, b)
+            x_ref, D_ref = cheb_nodes_product(n, a, b)
+            assert bits(x) == bits(x_ref)
+            assert bits(D) == bits(D_ref)
+
+    @pytest.mark.parametrize("x_start, x_end", PI_INTERVALS[:3])
+    def test_four_series_match_chebyshev_objects(self, x_start, x_end):
+        from numpy.polynomial import Chebyshev
+
+        tr = pi_integrate(x_start, x_end, n_points=231)
+        dense = tr.dense
+        q = Chebyshev(dense.coeffs[:, 0], domain=[x_start, x_end])
+        qprime = Chebyshev(dense.coeffs[:, 1], domain=[x_start, x_end])
+        want = (q(tr.x), qprime(tr.x), q.deriv()(tr.x), qprime.deriv()(tr.x))
+        assert [bits(v) for v in dense(tr.x)] == [bits(v) for v in want]
+        assert bits(tr.q) == bits(want[0])
+        assert bits(tr.qprime) == bits(want[1])
 
 
 class TestDegenerationConstant:

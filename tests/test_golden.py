@@ -4,7 +4,9 @@ Each benchmark workload's seed-0 calls (`benchmarks/workloads.py`) run once
 through `cli.main` in-process.  Each output is hashed, and the hex digests
 of one workload are hashed in call order, as `benchmarks/run.py` does for
 its `outputs_identical` line.  A few `--format json` outputs are pinned as
-well, since no workload writes JSON.
+well, since no workload writes JSON, and one CSV at a node count beyond the
+workloads' (`pi --x-start=-1000` solves on 257 Chebyshev nodes, the
+workloads on 65 and 129).
 
 A change that moves an output on purpose updates the digests here and
 says in CHANGES.md which numbers moved and why.
@@ -38,6 +40,11 @@ JSON_DIGESTS = {
         "73c6be05e076c6497a11dd6bd0b0e9650a8aef1e60eff94fb7124f298aced8a3",
 }
 
+CSV_DIGESTS = {
+    ("pi", "--x-start=-1000"):
+        "97c6f6feeea77418f80920a81e034c333d3c46ec67c9a80912536d06500d79b2",
+}
+
 
 def output_digest(argv, path):
     """sha256 hex digest of what one call writes to `path`."""
@@ -60,3 +67,8 @@ def test_workload_outputs(workload, tmp_path):
 def test_json_outputs(argv, tmp_path):
     digest = output_digest(argv + ("--format", "json"), tmp_path / "out")
     assert digest == JSON_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(CSV_DIGESTS))
+def test_csv_outputs(argv, tmp_path):
+    assert output_digest(argv, tmp_path / "out") == CSV_DIGESTS[argv]

@@ -90,6 +90,35 @@ class TestBuild:
             np.polynomial.polynomial.polyder(curve_mu.lam_coeffs))
         assert np.max(np.abs(dg - prod)) < 1e-12
 
+    def test_coefficients_match_numpy_polynomial(self, d_grid20):
+        """g, alpha and beta are numpy.polynomial's, bit for bit, on the
+        interior grid and at the in-D points of the extreme inputs."""
+        from test_reachability import EXTREME
+
+        from tau34.cli import build_parser
+        from tau34.param_domain import in_domain_D
+
+        extreme = []
+        for argv in EXTREME:
+            args = build_parser().parse_args(argv)
+            if args.grid is None:
+                p = Params(args.eta, args.mu, args.nu)
+                if in_domain_D(p).in_D:
+                    extreme.append(p)
+        assert len(extreme) >= 4
+        npoly = np.polynomial.polynomial
+        for p in list(d_grid20) + extreme:
+            cv = build_curve(p)
+            with np.errstate(all="ignore"):
+                g = npoly.polyint(npoly.polymul(
+                    cv.Y_coeffs, npoly.polyder(cv.lam_coeffs)))
+                g[0] = -2.0 * cv.c * cv.a**4
+                ends = [float(npoly.polyval(x, cv.lam_coeffs).real)
+                        for x in (-cv.a, cv.a)]
+            assert cv.g_coeffs.tobytes() == g.tobytes()
+            assert np.array([cv.alpha, cv.beta]).tobytes() \
+                == np.array(ends).tobytes()
+
 
 def sheet_root(curve, lam, sheet):
     """u_sheet(lam) off the cuts, as one complex number."""
